@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import CapacityError, ConfigError, DomainError
 from .rearrange import AtomFunction, rearrangement
@@ -309,6 +308,8 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, max_evals=100_000,
     resolution (relatively); the evaluation budget is shared across starts
     and a breach is reported, not hidden.
     """
+    from scipy.optimize import minimize_scalar
+
     _require_positive(t)
     if not couple.is_vector_couple:
         raise ConfigError("brute-force K needs a finite-dimensional couple")

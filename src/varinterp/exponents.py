@@ -33,7 +33,6 @@ __all__ = [
     "LogHolderReport",
     "parse_expression",
     "evaluate_expression",
-    "eval_exponent",
     "essential_bounds",
     "estimate_log_holder",
     "log_holder_constants",
@@ -320,11 +319,6 @@ def _probe(tree, t):
     return max(value, 1.0)
 
 
-def eval_exponent(p, t):
-    """Evaluate the exponent at t > 0 (t may be an array)."""
-    return p(t)
-
-
 def essential_bounds(p, grid):
     """Sampled (p_minus, p_plus) over the grid nodes."""
     values = p(grid.nodes)
@@ -346,6 +340,13 @@ class LogHolderReport:
     suspected_non_log_holder: bool = False
 
 
+def _log_holder_endpoints(values, limit_at_zero, limit_at_infinity, nodes):
+    """(c_origin, c_infinity) of function values sampled on nodes; O(n)."""
+    c_origin = float(np.max(np.abs(values - limit_at_zero) * np.log(math.e + 1.0 / nodes)))
+    c_infinity = float(np.max(np.abs(values - limit_at_infinity) * np.log(math.e + nodes)))
+    return c_origin, c_infinity
+
+
 def log_holder_constants(fn: Callable, limit_at_zero, limit_at_infinity, nodes):
     """Sampled log-Holder constants of an arbitrary function on given nodes.
 
@@ -355,8 +356,8 @@ def log_holder_constants(fn: Callable, limit_at_zero, limit_at_infinity, nodes):
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(fn(nodes), dtype=float)
-    c_origin = float(np.max(np.abs(values - limit_at_zero) * np.log(math.e + 1.0 / nodes)))
-    c_infinity = float(np.max(np.abs(values - limit_at_infinity) * np.log(math.e + nodes)))
+    c_origin, c_infinity = _log_holder_endpoints(
+        values, limit_at_zero, limit_at_infinity, nodes)
 
     c_local = 0.0
     witness = (float(nodes[0]), float(nodes[0]))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .exponents import log_holder_constants
+from .exponents import _log_holder_endpoints
 from .varleb import SampledFunction, TwoSidedSequence, luxemburg_norm
 
 __all__ = [
@@ -222,9 +222,8 @@ def key_estimate_check(p, interval, w, f, m, variant):
     f_modular = float(np.sum(f_y ** p_y * w_y * dy))
     accepted = f_modular <= 1.0 + 1e-12 or float(np.max(f_y)) <= 1.0 + 1e-12
 
-    recip = lambda ts: 1.0 / np.asarray(p(ts), dtype=float)
-    c_origin, c_infty, _, _ = log_holder_constants(
-        recip, 1.0 / p_zero, 1.0 / p_inf, nodes)
+    c_origin, c_infty = _log_holder_endpoints(
+        1.0 / np.asarray(p(nodes), dtype=float), 1.0 / p_zero, 1.0 / p_inf, nodes)
     c_log = c_infty if variant == "at_infinity" else c_origin
     gamma = math.exp(-4.0 * m * c_log)
 

@@ -501,7 +501,8 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
     compares with the direct norm at theta = (1-eta) theta0 + eta theta1.
     The outer exponent q is treated as a free input; no relation between q
     and (q0, q1) is enforced. The equivalence constant should be stable
-    when the inner grid is refined.
+    when the inner grid is refined. A brute-force K that hits its
+    evaluation cap fails the check.
     """
     if not couple.is_vector_couple:
         raise ConfigError("reiteration_check needs a finite-dimensional couple")
@@ -533,6 +534,7 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
         js = np.arange(-outer_V, outer_V + 1)
         alpha = np.empty(len(js))
         warm = None
+        cap_hit = False
         for idx, j in enumerate(js):
             res = k_brute_force(derived, float(2.0 ** j), f,
                                 resolution=resolution, n_random_starts=1,
@@ -540,22 +542,26 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
                                 return_details=True)
             alpha[idx] = res.value
             warm = res.minimizer
-        return lambda_norm(TwoSidedSequence(outer_V, alpha),
+            cap_hit |= res.cap_hit
+        norm = lambda_norm(TwoSidedSequence(outer_V, alpha),
                            LambdaNormParams(eta, q.p_at_zero, q.p_at_infinity))
+        return norm, cap_hit
 
     base = k_norm_continuous(couple, f, KMethodParams(theta, q, base_grid))
-    outer = outer_norm_on(inner_grid)
+    outer, cap_hit = outer_norm_on(inner_grid)
     ratio = outer / base if base > 0 else 1.0
     constant = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
 
     refined_constant = None
     drift = None
     if refine:
-        outer2 = outer_norm_on(inner_grid.refined(spo_factor=2))
+        outer2, cap_hit_fine = outer_norm_on(inner_grid.refined(spo_factor=2))
+        cap_hit |= cap_hit_fine
         ratio2 = outer2 / base if base > 0 else 1.0
         refined_constant = max(ratio2, 1.0 / ratio2) if ratio2 > 0 else math.inf
         drift = abs(refined_constant - constant) / constant
-    passed = math.isfinite(constant) and (drift is None or drift <= 0.1)
+    passed = (math.isfinite(constant) and (drift is None or drift <= 0.1)
+              and not cap_hit)
     return ReiterationReport(theta, base, outer, constant,
                              refined_constant, drift, passed)
 

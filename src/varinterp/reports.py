@@ -12,9 +12,12 @@ __all__ = ["CheckReport"]
 class CheckReport:
     """Outcome of one randomized check over a corpus of instances.
 
-    constant is the check's headline number (worst error, corpus
-    equivalence constant, worst margin -- see the individual drivers);
-    refinement_drift is None for checks without a refinement stage.
+    constant is the check's headline number, condensed from the instance
+    outcomes by the check's reducer: a worst error or margin, a fraction of
+    passing instances, or a corpus equivalence constant. The check table
+    in varinterp.suite says for each check what it means. instances counts
+    the instances accepted by the check's hypotheses; refinement_drift is
+    None for checks without a refinement stage.
     """
 
     check: str

@@ -1,24 +1,26 @@
-"""Randomized check suite: generators, check drivers, and the registry.
+"""Randomized check suite: instance generators, the check table, reports.
 
-Every check identifier maps to a driver that builds a corpus of random
-instances, runs the corresponding operation, and condenses the outcome
-into a CheckReport. Instance randomness is counter-based: the generator
-for instance i of a check is Philox keyed by (seed, crc32(check id), i),
-so suites are reproducible and any single instance can be regenerated in
-isolation.
-
-The headline `constant` differs per check (worst relative error for
-oracle comparisons, corpus equivalence constant for two-sided bounds,
-worst margin for inequality checks); driver docstrings say which.
+Every check is one row of the table `_CHECKS`: an identifier, an instance
+function and a reducer (worst-max, worst-min, fraction or bracket). The
+instance function `instance(rng, i, config)` builds the i-th random
+instance, runs the operation under test and returns an `_Outcome`. One
+shared runner calls it with the generator of instance i, Philox keyed by
+(seed, crc32(check id), i), so suites are reproducible and any single
+instance can be regenerated in isolation. The row's reducer condenses the
+outcomes into the report's headline `constant`; the comment above each
+row says what that constant means. A check passes when every instance is
+accepted and passes and the reducer's corpus condition holds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -101,14 +103,19 @@ def _rand_constant_exponent(rng, lo=1.2, hi=4.0):
     return ExponentFunction.constant(float(rng.uniform(lo, hi)))
 
 
+def _log_exponent(c, d):
+    """c + d / log(e + 1/t), which runs from c at 0 to c + d at infinity."""
+    return ExponentFunction.from_expression(
+        f"{c} + {d}/log(e + 1/t)", p_at_zero=c, p_at_infinity=c + d)
+
+
 def _rand_variable_exponent(rng, lo=1.2, hi=3.0, equal_limits=False):
     c = float(rng.uniform(lo, hi))
     d = float(rng.uniform(0.3, 1.2))
     if equal_limits:
         return ExponentFunction.from_expression(
             f"{c} + {d}*min(t, 1/t)", p_at_zero=c, p_at_infinity=c)
-    return ExponentFunction.from_expression(
-        f"{c} + {d}/log(e + 1/t)", p_at_zero=c, p_at_infinity=c + d)
+    return _log_exponent(c, d)
 
 
 def _rand_exponent(rng, i, **kwargs):
@@ -150,18 +157,39 @@ def _rand_atoms(rng, max_atoms=6):
     return AtomFunction(values, masses)
 
 
-def _rand_block_callable(rng, u_lo=-5.0, u_hi=5.0, blocks=3, quantum=None):
+def _rand_weighted_pair(rng, **kwargs):
+    """A weighted sequence couple and a vector in it."""
+    couple = _rand_weighted_couple(rng, **kwargs)
+    return couple, _rand_vector(rng, couple.dimension)
+
+
+def _rand_couple_and_f(rng, i):
+    """Even i: a weighted sequence couple and a vector; odd i: (L1, Linf)
+    and an atomic function."""
+    if i % 2 == 0:
+        return _rand_weighted_pair(rng)
+    return Couple.l1_linf(), _rand_atoms(rng)
+
+
+def _rand_k_problem(rng, i, grid):
+    """(couple, f, K-method parameters) with theta, q drawn before the pair."""
+    theta = float(rng.uniform(0.2, 0.8))
+    q = _rand_exponent(rng, i)
+    couple, f = _rand_couple_and_f(rng, i)
+    return couple, f, KMethodParams(theta, q, grid)
+
+
+def _rand_block_callable(rng, quantum, u_lo=-5.0, u_hi=5.0, blocks=3):
     """Sum of indicator blocks in log scale.
 
-    With a quantum (a cell width in u), edges snap to cell boundaries so the
-    same function is resolved exactly on a grid and its refinements; grid
-    nodes sit at half-cell offsets and never touch an edge.
+    Edges snap to multiples of the quantum (a cell width in u), so the same
+    function is resolved exactly on a grid and its refinements; grid nodes
+    sit at half-cell offsets and never touch an edge.
     """
     edges = np.sort(rng.uniform(u_lo * LN2, u_hi * LN2, 2 * blocks))
-    if quantum is not None:
-        edges = np.round(edges / quantum) * quantum
+    edges = np.round(edges / quantum) * quantum
     heights = rng.uniform(0.2, 2.0, blocks)
-    if quantum is not None and not np.any(edges[1::2] > edges[0::2]):
+    if not np.any(edges[1::2] > edges[0::2]):
         edges = np.array([-4.0 * quantum, 4.0 * quantum])
         heights = heights[:1]
         blocks = 1
@@ -176,6 +204,21 @@ def _rand_block_callable(rng, u_lo=-5.0, u_hi=5.0, blocks=3, quantum=None):
     return fn
 
 
+# ---------------------------------------------------------------------------
+# Outcomes, reducers and the check runner
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """Result of one instance; `refined` is the metric on a refined grid."""
+
+    metric: float | None
+    passed: bool = True
+    refined: float | None = None
+    accepted: bool = True
+
+
 def _bracket_constant(ratios):
     """Smallest C with all ratios in [1/C, C]."""
     finite = [r for r in ratios if r > 0 and math.isfinite(r)]
@@ -184,607 +227,461 @@ def _bracket_constant(ratios):
     return max(max(finite), 1.0 / min(finite))
 
 
+# Reducers take the accepted (index, outcome) pairs and return
+# (constant, worst instance, drift or None, corpus condition holds).
+
+
+def _stable(constant, drift, drift_limit):
+    return math.isfinite(constant) and (drift is None or drift <= drift_limit)
+
+
+def _worst_max(start=0.0, limit=math.inf, drift_limit=None, lower=False):
+    """Largest (lower: smallest) metric, from `start` on, and the first
+    instance reaching it (a NaN metric is skipped); it must stay <= limit
+    (lower: >= limit). With refined metrics the drift is the largest
+    relative change under refinement; a drift limit also asks for a finite
+    constant."""
+    def reduce(pairs):
+        worst, worst_i, drift = start, 0, None
+        for i, o in pairs:
+            if (o.metric < worst) if lower else (o.metric > worst):
+                worst, worst_i = o.metric, i
+            if o.refined is not None:
+                d = (abs(o.refined - o.metric) / o.metric
+                     if o.metric > 0 else 0.0)
+                drift = max(0.0 if drift is None else drift, d)
+        ok = worst >= limit if lower else worst <= limit
+        if drift_limit is not None:
+            ok = ok and _stable(worst, drift, drift_limit)
+        return worst, worst_i, drift, ok
+    return reduce
+
+
+def _worst_min(limit):
+    """Smallest metric (at most inf) and the first instance reaching it;
+    it must stay >= limit."""
+    return _worst_max(math.inf, limit, lower=True)
+
+
+def _fraction(pairs):
+    """Share of passing instances (the metric is unused)."""
+    bad = [i for i, o in pairs if not o.passed]
+    return 1.0 - len(bad) / len(pairs), (bad[-1] if bad else 0), None, True
+
+
+def _bracket(drift_limit=math.inf):
+    """Corpus constant C with every metric in [1/C, C], which must be
+    finite. With refined metrics the drift is the relative change of C
+    when the refined metrics are bracketed instead."""
+    def reduce(pairs):
+        ratios = [o.metric for _, o in pairs]
+        constant = _bracket_constant(ratios)
+        worst_i = pairs[int(np.argmax([max(r, 1.0 / r) for r in ratios]))][0]
+        drift = None
+        if pairs[0][1].refined is not None:
+            refined = _bracket_constant([o.refined for _, o in pairs])
+            drift = (abs(refined - constant) / constant
+                     if math.isfinite(constant) else math.inf)
+        return constant, worst_i, drift, _stable(constant, drift, drift_limit)
+    return reduce
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One table row; calling it with a config runs the check."""
+
+    id: str
+    instance: Callable
+    reduce: Callable
+    max_instances: int | None = None
+
+    def __call__(self, config):
+        count = config.trials
+        if self.max_instances is not None:
+            count = min(count, self.max_instances)
+        outcomes = [self.instance(instance_rng(config.seed, self.id, i), i, config)
+                    for i in range(count)]
+        pairs = [(i, o) for i, o in enumerate(outcomes) if o.accepted]
+        constant, worst_i, drift, ok = self.reduce(pairs)
+        passed = all(o.accepted and o.passed for o in outcomes) and ok
+        return CheckReport(self.id, len(pairs), constant, worst_i, passed, drift)
+
+
 # ---------------------------------------------------------------------------
-# Drivers
+# Checks: instance functions and the table
 # ---------------------------------------------------------------------------
 
 
-def _check_luxemburg(config):
-    """Worst deviation of the solver from the constant-q closed form
-    (rho^{1/q}), or of modular(phi/norm) from 1 for variable q."""
-    worst, worst_i = 0.0, 0
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "luxemburg-closed-form", i)
-        phi = _rand_sampled(rng, config.grid)
-        if i % 2 == 0:
-            q = _rand_constant_exponent(rng)
-            norm = luxemburg_norm(phi, q)
-            expected = modular(phi, q) ** (1.0 / q.p_at_zero)
-            err = abs(norm - expected) / expected if expected > 0 else abs(norm)
-        else:
-            q = _rand_variable_exponent(rng)
-            norm = luxemburg_norm(phi, q)
-            if norm == 0.0:
-                err = 0.0
-            else:
-                err = abs(modular(phi.scaled(1.0 / norm), q) - 1.0)
-        if err > worst:
-            worst, worst_i = err, i
-    return CheckReport("luxemburg-closed-form", config.trials, worst, worst_i,
-                       worst <= 1e-6)
+def _luxemburg(rng, i, config):
+    phi = _rand_sampled(rng, config.grid)
+    q = _rand_exponent(rng, i)
+    norm = luxemburg_norm(phi, q)
+    if i % 2 == 0:
+        expected = modular(phi, q) ** (1.0 / q.p_at_zero)
+        return _Outcome(abs(norm - expected) / expected if expected > 0
+                        else abs(norm))
+    if norm == 0.0:
+        return _Outcome(0.0)
+    return _Outcome(abs(modular(phi.scaled(1.0 / norm), q) - 1.0))
 
 
-def _check_sandwich(config):
-    """Worst bracket ratio of the modular-power sandwich (pass at 1 + 1e-6)."""
-    worst, worst_i, all_ok = 0.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "modular-sandwich", i)
-        phi = _rand_sampled(rng, config.grid)
-        q = _rand_exponent(rng, i)
-        rep = modular_norm_sandwich(phi, q)
-        all_ok &= rep.passed
-        if rep.norm > 0 and rep.upper > 0:
-            ratio = max(rep.lower / rep.norm, rep.norm / rep.upper)
-        else:
-            ratio = 0.0
-        if ratio > worst:
-            worst, worst_i = ratio, i
-    return CheckReport("modular-sandwich", config.trials, worst, worst_i, all_ok)
+def _sandwich(rng, i, config):
+    phi = _rand_sampled(rng, config.grid)
+    rep = modular_norm_sandwich(phi, _rand_exponent(rng, i))
+    if rep.norm > 0 and rep.upper > 0:
+        return _Outcome(max(rep.lower / rep.norm, rep.norm / rep.upper),
+                        rep.passed)
+    return _Outcome(0.0, rep.passed)
 
 
-def _check_unit_ball(config):
-    """Fraction of instances where norm <= 1 iff modular <= 1 (must be 1)."""
-    bad, worst_i = 0, 0
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "unit-ball", i)
-        phi = _rand_sampled(rng, config.grid)
-        q = _rand_exponent(rng, i)
-        norm = luxemburg_norm(phi, q)
-        if norm == 0.0:
-            continue
-        ok = True
+def _unit_ball(rng, i, config):
+    phi = _rand_sampled(rng, config.grid)
+    q = _rand_exponent(rng, i)
+    norm = luxemburg_norm(phi, q)
+    ok = True
+    if norm != 0.0:
         for c, inside in ((0.8, True), (1.25, False)):
             rep = unit_ball_check(phi.scaled(c / norm), q)
             ok &= rep.consistent and (rep.modular_value <= 1.0 + 1e-8) == inside
-        if not ok:
-            bad += 1
-            worst_i = i
-    fraction = 1.0 - bad / config.trials
-    return CheckReport("unit-ball", config.trials, fraction, worst_i, bad == 0)
+    return _Outcome(None, ok)
 
 
-def _check_k_oracle(config):
-    """Worst relative disagreement between closed-form K and its oracle."""
-    worst, worst_i = 0.0, 0
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "k-oracle", i)
-        t = float(10.0 ** rng.uniform(-3.0, 3.0))
-        if i % 3 < 2:
-            couple = _rand_weighted_couple(rng, n=int(rng.integers(2, 6)))
-            f = _rand_vector(rng, couple.dimension)
-            closed = k_functional(couple, t, f)
-            oracle = k_brute_force(couple, t, f, rng=rng)
-        else:
-            f = _rand_atoms(rng)
-            closed = k_functional(Couple.l1_linf(), t, f)
-            oracle, _ = k_truncation_oracle(f, t)
-        err = abs(closed - oracle) / max(closed, oracle, 1e-300)
-        if err > worst:
-            worst, worst_i = err, i
-    return CheckReport("k-oracle", config.trials, worst, worst_i, worst <= 1e-6)
+def _k_oracle(rng, i, config):
+    """Instances with i % 3 == 2 use (L1, Linf) and the truncation oracle;
+    the others a weighted couple and brute-force K, which must not hit its
+    evaluation cap."""
+    t = float(10.0 ** rng.uniform(-3.0, 3.0))
+    if i % 3 == 2:
+        f = _rand_atoms(rng)
+        closed = k_functional(Couple.l1_linf(), t, f)
+        oracle, _ = k_truncation_oracle(f, t)
+        cap_hit = False
+    else:
+        couple, f = _rand_weighted_pair(rng)
+        closed = k_functional(couple, t, f)
+        res = k_brute_force(couple, t, f, rng=rng, return_details=True)
+        oracle, cap_hit = res.value, res.cap_hit
+    return _Outcome(abs(closed - oracle) / max(closed, oracle, 1e-300),
+                    not cap_hit)
 
 
-def _check_kj_bounds(config):
-    """Worst normalized margin of the K/J comparison inequalities (>= 0)."""
-    worst, worst_i = math.inf, 0
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "kj-functional-bounds", i)
-        s, t = (float(10.0 ** rng.uniform(-2.0, 2.0)) for _ in range(2))
-        if i % 2 == 0:
-            couple = _rand_weighted_couple(rng)
-            f = _rand_vector(rng, couple.dimension)
-        else:
-            couple = Couple.l1_linf()
-            f = _rand_atoms(rng)
-        rep = kj_inequality_check(couple, f, s, t)
-        if rep.worst_margin < worst:
-            worst, worst_i = rep.worst_margin, i
-    return CheckReport("kj-functional-bounds", config.trials, worst, worst_i,
-                       worst >= 0.0)
+def _kj_bounds(rng, i, config):
+    s, t = (float(10.0 ** rng.uniform(-2.0, 2.0)) for _ in range(2))
+    couple, f = _rand_couple_and_f(rng, i)
+    return _Outcome(kj_inequality_check(couple, f, s, t).worst_margin)
 
 
-def _check_k_discrete_continuous(config):
-    """Corpus constant C for discrete/continuous K-norm ratios, with drift
-    under refinement (V doubled, density doubled)."""
+def _k_discrete_continuous(rng, i, config):
+    couple, f, params = _rand_k_problem(rng, i, config.grid)
     grid = config.grid
-    fine = HaarGrid(grid.V * 2, grid.samples_per_octave * 2)
-    ratios, ratios_fine = [], []
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "k-discrete-continuous", i)
-        theta = float(rng.uniform(0.2, 0.8))
-        q = _rand_exponent(rng, i)
-        if i % 2 == 0:
-            couple = _rand_weighted_couple(rng)
-            f = _rand_vector(rng, couple.dimension)
-        else:
-            couple = Couple.l1_linf()
-            f = _rand_atoms(rng)
-        q0, qi = q.p_at_zero, q.p_at_infinity
-        for target, g, V in ((ratios, grid, grid.V), (ratios_fine, fine, fine.V)):
-            kd = k_norm_discrete(couple, f, theta, q0, qi, V)
-            kc = k_norm_continuous(couple, f, KMethodParams(theta, q, g))
-            target.append(kd / kc if kc > 0 else math.inf)
-    constant = _bracket_constant(ratios)
-    refined = _bracket_constant(ratios_fine)
-    drift = abs(refined - constant) / constant if math.isfinite(constant) else math.inf
-    worst_i = int(np.argmax([max(r, 1.0 / r) for r in ratios]))
-    passed = math.isfinite(constant) and drift <= 0.05
-    return CheckReport("k-discrete-continuous", config.trials, constant,
-                       worst_i, passed, drift)
-
-
-def _check_embedding(config):
-    """Largest chain constant; fails if any growth margin is negative."""
-    worst_c, worst_i, all_ok = 0.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "embedding-chain", i)
-        theta = float(rng.uniform(0.2, 0.8))
-        q = _rand_exponent(rng, i)
-        if i % 2 == 0:
-            couple = _rand_weighted_couple(rng)
-            f = _rand_vector(rng, couple.dimension)
-        else:
-            couple = Couple.l1_linf()
-            f = _rand_atoms(rng)
-        rep = embedding_checks(couple, f, KMethodParams(theta, q, config.grid))
-        all_ok &= rep.passed
-        c = max(rep.c_from_intersection, rep.c_to_sum)
-        if c > worst_c:
-            worst_c, worst_i = c, i
-    return CheckReport("embedding-chain", config.trials, worst_c, worst_i, all_ok)
-
-
-def _check_kj_equivalence(config, v_base=16, v_refined=24):
-    """Corpus constant for discrete J-norm vs K-norm ratios; every instance
-    must keep termwise J <= 3.03 K, and the constant must be stable in V."""
-    ratios, ratios_fine = [], []
-    all_ok = True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "kj-equivalence", i)
-        theta = float(rng.uniform(0.2, 0.8))
-        q = _rand_exponent(rng, i)
-        if i % 2 == 0:
-            couple = _rand_weighted_couple(rng)
-            f = _rand_vector(rng, couple.dimension)
-        else:
-            couple = Couple.l1_linf()
-            f = _rand_atoms(rng)
-        params = KMethodParams(theta, q, config.grid)
-        rep = kj_equivalence_check(couple, f, params, V=v_base)
-        rep_fine = kj_equivalence_check(couple, f, params, V=v_refined)
-        all_ok &= rep.passed and rep_fine.passed
-        ratios.append(rep.ratio_j_over_k)
-        ratios_fine.append(rep_fine.ratio_j_over_k)
-    constant = _bracket_constant(ratios)
-    refined = _bracket_constant(ratios_fine)
-    drift = abs(refined - constant) / constant if math.isfinite(constant) else math.inf
-    worst_i = int(np.argmax([max(r, 1.0 / r) for r in ratios]))
-    passed = all_ok and math.isfinite(constant) and drift <= 0.1
-    return CheckReport("kj-equivalence", config.trials, constant, worst_i,
-                       passed, drift)
-
-
-def _check_density(config):
-    """Largest final residual ratio of truncated J-representations."""
-    worst, worst_i, all_ok = 0.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "density", i)
-        theta = float(rng.uniform(0.2, 0.8))
-        q = _rand_exponent(rng, i)
-        if i % 2 == 0:
-            couple = _rand_weighted_couple(rng)
-            f = _rand_vector(rng, couple.dimension)
-        else:
-            couple = Couple.l1_linf()
-            f = _rand_atoms(rng)
-        rep = density_check(couple, f, KMethodParams(theta, q, config.grid))
-        all_ok &= rep.passed
-        if rep.final_ratio > worst:
-            worst, worst_i = rep.final_ratio, i
-    return CheckReport("density", config.trials, worst, worst_i, all_ok)
-
-
-def _check_operator(config):
-    """Largest lhs/rhs ratio of the interpolated operator bound (<= 1)."""
-    worst, worst_i, all_ok = 0.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "operator-bound", i)
-        couple = _rand_weighted_couple(rng)
-        n = couple.dimension
-        op = LinearOperatorSpec.from_matrix(rng.normal(0.0, 1.0, (n, n)), couple)
-        f = _rand_vector(rng, n)
-        theta = float(rng.uniform(0.2, 0.8))
-        q = _rand_exponent(rng, i)
-        rep = operator_bound_check(op, couple, theta, q, f, config.grid)
-        all_ok &= rep.passed
-        ratio = rep.lhs / rep.rhs if rep.rhs > 0 else 0.0
-        if ratio > worst:
-            worst, worst_i = ratio, i
-    return CheckReport("operator-bound", config.trials, worst, worst_i, all_ok)
-
-
-def _check_prop_exponent_monotone(config):
-    """Largest recorded embedding ratio for pointwise-larger exponents."""
-    worst, worst_i, all_ok = 0.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "prop-exponent-monotone", i)
-        theta = float(rng.uniform(0.2, 0.8))
-        if i % 2 == 0:
-            base = float(rng.uniform(1.2, 3.0))
-            q = ExponentFunction.constant(base)
-            r = ExponentFunction.constant(base + float(rng.uniform(0.5, 2.0)))
-        else:
-            c = float(rng.uniform(1.2, 2.5))
-            d = float(rng.uniform(0.3, 1.0))
-            shift = float(rng.uniform(0.5, 1.5))
-            q = ExponentFunction.from_expression(
-                f"{c} + {d}/log(e + 1/t)", p_at_zero=c, p_at_infinity=c + d)
-            r = ExponentFunction.from_expression(
-                f"{c + shift} + {d}/log(e + 1/t)",
-                p_at_zero=c + shift, p_at_infinity=c + shift + d)
-        couple = _rand_weighted_couple(rng)
-        f = _rand_vector(rng, couple.dimension)
-        rep = prop_exponent_monotone(couple, f, theta, q, r, config.grid)
-        all_ok &= rep.passed
-        c_val = max(rep.values["ratio_r"], rep.values["ratio_sup"])
-        if c_val > worst:
-            worst, worst_i = c_val, i
-    return CheckReport("prop-exponent-monotone", config.trials, worst, worst_i,
-                       all_ok)
-
-
-def _check_prop_reversal(config):
-    """Largest deviation of the reversal-symmetry continuous ratio from 1."""
-    worst, worst_i, all_ok = 0.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "prop-reversal", i)
-        theta = float(rng.uniform(0.2, 0.8))
-        q = _rand_constant_exponent(rng)
-        couple = _rand_weighted_couple(rng)
-        f = _rand_vector(rng, couple.dimension)
-        rep = prop_reversal_symmetry(couple, f, theta, q, config.grid)
-        all_ok &= rep.passed
-        dev = abs(rep.values["continuous_ratio"] - 1.0)
-        if dev > worst:
-            worst, worst_i = dev, i
-    return CheckReport("prop-reversal", config.trials, worst, worst_i, all_ok)
-
-
-def _check_prop_equal_limits(config):
-    """Discrete norms must agree exactly for exponents sharing both limits;
-    constant records the spread of the (differing) continuous norms."""
-    worst, worst_i, all_ok = 1.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "prop-equal-limits", i)
-        theta = float(rng.uniform(0.2, 0.8))
-        c = float(rng.uniform(1.2, 2.5))
-        d = float(rng.uniform(0.3, 1.2))
-        q_a = ExponentFunction.from_expression(
-            f"{c} + {d}/log(e + 1/t)", p_at_zero=c, p_at_infinity=c + d)
-        q_b = ExponentFunction.from_expression(
-            f"{c} + {d}*(t/(1 + t))", p_at_zero=c, p_at_infinity=c + d)
-        couple = _rand_weighted_couple(rng)
-        f = _rand_vector(rng, couple.dimension)
-        rep = prop_equal_limits(couple, f, theta, q_a, q_b, grid=config.grid)
-        all_ok &= rep.passed
-        r = rep.values["continuous_ratio"]
-        spread = max(r, 1.0 / r) if r > 0 else math.inf
-        if spread > worst:
-            worst, worst_i = spread, i
-    return CheckReport("prop-equal-limits", config.trials, worst, worst_i, all_ok)
-
-
-def _check_prop_theta_monotone(config):
-    """Largest theta-monotonicity constant on ordered couples."""
-    worst, worst_i, all_ok = 0.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "prop-theta-monotone", i)
-        lo, hi = np.sort(rng.uniform(0.15, 0.85, 2))
-        if hi - lo < 0.05:
-            hi = min(0.9, lo + 0.05)
-        q = _rand_exponent(rng, i)
-        couple = _rand_weighted_couple(rng, ordered=True)
-        f = _rand_vector(rng, couple.dimension)
-        rep = prop_theta_monotone(couple, f, float(lo), float(hi), q, config.grid)
-        all_ok &= rep.passed
-        if rep.values["ratio"] > worst:
-            worst, worst_i = rep.values["ratio"], i
-    return CheckReport("prop-theta-monotone", config.trials, worst, worst_i,
-                       all_ok)
-
-
-def _check_prop_identical_couple(config):
-    """Norm ratio on identical couples: f-independent per (theta, q) group
-    and matching the truncated closed form at constant q."""
-    groups = ((0.3, 1.5), (0.5, 2.0), (0.7, 3.0))
-    ratios = {g: [] for g in groups}
-    worst, worst_i, all_ok = 0.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "prop-identical-couple", i)
-        theta, q_val = groups[i % len(groups)]
-        q = ExponentFunction.constant(q_val)
-        n = int(rng.integers(2, 6))
-        w = 10.0 ** rng.uniform(-1.0, 1.0, n)
-        f = _rand_vector(rng, n)
-        rep = prop_identical_couple(w, f, theta, q, config.grid)
-        all_ok &= rep.passed
-        ratios[(theta, q_val)].append(rep.values["ratio"])
-        if rep.values["ratio"] > worst:
-            worst, worst_i = rep.values["ratio"], i
-    for group_ratios in ratios.values():
-        if len(group_ratios) >= 2:
-            spread = max(group_ratios) - min(group_ratios)
-            all_ok &= spread <= 1e-9 * max(group_ratios)
-    return CheckReport("prop-identical-couple", config.trials, worst, worst_i,
-                       all_ok)
-
-
-def _check_reiteration(config):
-    """Reiteration equivalence constant; few instances, each refined."""
-    count = min(config.trials, 2)
-    worst_c, worst_drift, worst_i, all_ok = 0.0, 0.0, 0, True
-    for i in range(count):
-        rng = instance_rng(config.seed, "reiteration", i)
-        couple = _rand_weighted_couple(rng, n=3)
-        f = _rand_vector(rng, 3)
-        theta0 = float(rng.uniform(0.2, 0.35))
-        theta1 = float(rng.uniform(0.65, 0.8))
-        q = ExponentFunction.constant(float(rng.uniform(1.5, 3.0)))
-        rep = reiteration_check(couple, f, theta0, theta1, 0.5, q,
-                                inner_grid=HaarGrid(10, 6), outer_V=8)
-        all_ok &= rep.passed
-        if rep.constant > worst_c:
-            worst_c, worst_i = rep.constant, i
-        if rep.drift is not None:
-            worst_drift = max(worst_drift, rep.drift)
-    return CheckReport("reiteration", count, worst_c, worst_i, all_ok,
-                       worst_drift)
-
-
-def _check_lorentz_identification(config):
-    """Corpus bracket constant for K-method vs Lorentz norms on atoms, with
-    exact scale invariance and refinement stability."""
-    thetas = (0.25, 0.5, 0.75)
-    fine = config.grid.refined(spo_factor=2)
-    ratios, ratios_fine = [], []
-    all_ok = True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "lorentz-identification", i)
-        theta = thetas[i % 3]
-        q = _rand_exponent(rng, i, equal_limits=True)
-        f = _rand_atoms(rng)
-        rep = lorentz_identification_check(f, theta, q, config.grid)
-        rep_fine = lorentz_identification_check(f, theta, q, fine)
-        all_ok &= rep.passed and rep_fine.passed
-        ratios.append(rep.ratio)
-        ratios_fine.append(rep_fine.ratio)
-        if i % 25 == 0:
-            scaled = lorentz_identification_check(f.scaled(4.0), theta, q,
-                                                  config.grid)
-            all_ok &= scaled.ratio == rep.ratio
-    constant = _bracket_constant(ratios)
-    refined = _bracket_constant(ratios_fine)
-    drift = abs(refined - constant) / constant if math.isfinite(constant) else math.inf
-    worst_i = int(np.argmax([max(r, 1.0 / r) for r in ratios]))
-    passed = all_ok and math.isfinite(constant) and drift <= 0.1
-    return CheckReport("lorentz-identification", config.trials, constant,
-                       worst_i, passed, drift)
-
-
-def _check_lorentz_discrete(config):
-    """Corpus bracket constant for dyadic vs continuous Lorentz norms."""
     ratios = []
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "lorentz-discrete", i)
-        p = _rand_exponent(rng, i)
-        q = _rand_exponent(rng, i + 1)
-        f = _rand_atoms(rng)
-        dn = lorentz_discrete_norm(f, p, q, config.grid.V)
-        cn = lorentz_norm(f, p, q, config.grid)
-        ratios.append(dn / cn if cn > 0 else math.inf)
-    constant = _bracket_constant(ratios)
-    worst_i = int(np.argmax([max(r, 1.0 / r) for r in ratios]))
-    return CheckReport("lorentz-discrete", config.trials, constant, worst_i,
-                       math.isfinite(constant))
+    for g in (grid, HaarGrid(grid.V * 2, grid.samples_per_octave * 2)):
+        kd = k_norm_discrete(couple, f, params.theta, params.q.p_at_zero,
+                             params.q.p_at_infinity, g.V)
+        kc = k_norm_continuous(couple, f, KMethodParams(params.theta, params.q, g))
+        ratios.append(kd / kc if kc > 0 else math.inf)
+    return _Outcome(ratios[0], refined=ratios[1])
 
 
-def _check_rearrangement(config):
-    """Worst discrepancy in rearrangement identities (equimeasurability,
-    mass and integral preservation, right-continuity)."""
-    worst, worst_i = 0.0, 0
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "rearrangement", i)
-        f = _rand_atoms(rng, max_atoms=8)
-        profile = rearrangement(f)
-        scale = max(f.total_l1, 1e-300)
-        err = abs(profile.l1 - f.total_l1) / scale
-        err = max(err, abs(profile.integral_to(profile.total_mass * 2.0)
-                           - f.total_l1) / scale)
-        for lam in rng.uniform(0.0, f.sup_value * 1.1, 12):
-            mass_f = distribution_function(f, float(lam))
-            widths = np.diff(profile.breakpoints)
-            mass_star = float(np.sum(widths[profile.levels > lam]))
-            err = max(err, abs(mass_f - mass_star) / max(mass_f, 1.0))
-        for j in range(len(profile.levels)):
-            err = max(err, abs(profile.value_at(profile.breakpoints[j])
-                               - profile.levels[j]) / profile.levels[j])
-        if err > worst:
-            worst, worst_i = err, i
-    return CheckReport("rearrangement", config.trials, worst, worst_i,
-                       worst <= 1e-9)
+def _embedding(rng, i, config):
+    rep = embedding_checks(*_rand_k_problem(rng, i, config.grid))
+    return _Outcome(max(rep.c_from_intersection, rep.c_to_sum), rep.passed)
 
 
-def _check_hardy_discrete(config):
-    """Largest measured-to-cap ratio of the discrete Hardy constant."""
-    q_cycle = (1.0, 2.0, math.inf, None)
-    worst, worst_i, all_ok = 0.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "hardy-discrete", i)
-        a = float(rng.uniform(0.1, 0.85))
-        q = q_cycle[i % 4]
-        if q is None:
-            q = float(rng.uniform(1.0, 4.0))
-        V = 24
-        values = rng.uniform(0.0, 1.0, 2 * V + 1) * (rng.random(2 * V + 1) < 0.7)
-        eps = TwoSidedSequence(V, values)
-        rep = hardy_discrete_check(HardyInstance(a, q, eps))
-        all_ok &= rep.within_cap
-        ratio = rep.constant / rep.cap
-        if ratio > worst:
-            worst, worst_i = ratio, i
-    return CheckReport("hardy-discrete", config.trials, worst, worst_i, all_ok)
+def _kj_equivalence(rng, i, config):
+    """J/K ratio at V = 16, refined at V = 24; both keep termwise J <= 3.03 K."""
+    couple, f, params = _rand_k_problem(rng, i, config.grid)
+    rep = kj_equivalence_check(couple, f, params, V=16)
+    rep_fine = kj_equivalence_check(couple, f, params, V=24)
+    return _Outcome(rep.ratio_j_over_k, rep.passed and rep_fine.passed,
+                    rep_fine.ratio_j_over_k)
 
 
-def _check_hardy_continuous(config):
-    """Largest continuous Hardy constant, stable under grid refinement."""
-    s_cycle = (0.5, 1.0, 2.0)
+def _density(rng, i, config):
+    rep = density_check(*_rand_k_problem(rng, i, config.grid))
+    return _Outcome(rep.final_ratio, rep.passed)
+
+
+def _operator(rng, i, config):
+    couple = _rand_weighted_couple(rng)
+    n = couple.dimension
+    op = LinearOperatorSpec.from_matrix(rng.normal(0.0, 1.0, (n, n)), couple)
+    f = _rand_vector(rng, n)
+    theta = float(rng.uniform(0.2, 0.8))
+    q = _rand_exponent(rng, i)
+    rep = operator_bound_check(op, couple, theta, q, f, config.grid)
+    return _Outcome(rep.lhs / rep.rhs if rep.rhs > 0 else 0.0, rep.passed)
+
+
+def _prop_exponent_monotone(rng, i, config):
+    theta = float(rng.uniform(0.2, 0.8))
+    if i % 2 == 0:
+        base = float(rng.uniform(1.2, 3.0))
+        q = ExponentFunction.constant(base)
+        r = ExponentFunction.constant(base + float(rng.uniform(0.5, 2.0)))
+    else:
+        c = float(rng.uniform(1.2, 2.5))
+        d = float(rng.uniform(0.3, 1.0))
+        shift = float(rng.uniform(0.5, 1.5))
+        q, r = _log_exponent(c, d), _log_exponent(c + shift, d)
+    couple, f = _rand_weighted_pair(rng)
+    rep = prop_exponent_monotone(couple, f, theta, q, r, config.grid)
+    return _Outcome(max(rep.values["ratio_r"], rep.values["ratio_sup"]),
+                    rep.passed)
+
+
+def _prop_reversal(rng, i, config):
+    theta = float(rng.uniform(0.2, 0.8))
+    q = _rand_constant_exponent(rng)
+    couple, f = _rand_weighted_pair(rng)
+    rep = prop_reversal_symmetry(couple, f, theta, q, config.grid)
+    return _Outcome(abs(rep.values["continuous_ratio"] - 1.0), rep.passed)
+
+
+def _prop_equal_limits(rng, i, config):
+    """Discrete norms must agree exactly for exponents sharing both limits;
+    the metric is the spread of the (differing) continuous norms."""
+    theta = float(rng.uniform(0.2, 0.8))
+    c = float(rng.uniform(1.2, 2.5))
+    d = float(rng.uniform(0.3, 1.2))
+    q_a = _log_exponent(c, d)
+    q_b = ExponentFunction.from_expression(
+        f"{c} + {d}*(t/(1 + t))", p_at_zero=c, p_at_infinity=c + d)
+    couple, f = _rand_weighted_pair(rng)
+    rep = prop_equal_limits(couple, f, theta, q_a, q_b, grid=config.grid)
+    r = rep.values["continuous_ratio"]
+    return _Outcome(max(r, 1.0 / r) if r > 0 else math.inf, rep.passed)
+
+
+def _prop_theta_monotone(rng, i, config):
+    lo, hi = np.sort(rng.uniform(0.15, 0.85, 2))
+    if hi - lo < 0.05:
+        hi = min(0.9, lo + 0.05)
+    q = _rand_exponent(rng, i)
+    couple, f = _rand_weighted_pair(rng, ordered=True)
+    rep = prop_theta_monotone(couple, f, float(lo), float(hi), q, config.grid)
+    return _Outcome(rep.values["ratio"], rep.passed)
+
+
+_IDENTICAL_GROUPS = ((0.3, 1.5), (0.5, 2.0), (0.7, 3.0))
+
+
+def _prop_identical_couple(rng, i, config):
+    theta, q_val = _IDENTICAL_GROUPS[i % len(_IDENTICAL_GROUPS)]
+    n = int(rng.integers(2, 6))
+    w = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    f = _rand_vector(rng, n)
+    rep = prop_identical_couple(w, f, theta, ExponentFunction.constant(q_val),
+                                config.grid)
+    return _Outcome(rep.values["ratio"], rep.passed)
+
+
+def _identical_groups(pairs):
+    """Worst ratio; within each (theta, q) group the ratio must not
+    depend on f."""
+    constant, worst_i, drift, ok = _worst_max()(pairs)
+    for g in range(len(_IDENTICAL_GROUPS)):
+        ratios = [o.metric for i, o in pairs if i % len(_IDENTICAL_GROUPS) == g]
+        if len(ratios) >= 2:
+            ok &= max(ratios) - min(ratios) <= 1e-9 * max(ratios)
+    return constant, worst_i, drift, ok
+
+
+def _reiteration(rng, i, config):
+    couple, f = _rand_weighted_pair(rng, n=3)
+    theta0 = float(rng.uniform(0.2, 0.35))
+    theta1 = float(rng.uniform(0.65, 0.8))
+    q = ExponentFunction.constant(float(rng.uniform(1.5, 3.0)))
+    rep = reiteration_check(couple, f, theta0, theta1, 0.5, q,
+                            inner_grid=HaarGrid(10, 6), outer_V=8)
+    return _Outcome(rep.constant, rep.passed, rep.refined_constant)
+
+
+def _lorentz_identification(rng, i, config):
+    """Every 25th instance also checks exact invariance under scaling by 4."""
+    theta = (0.25, 0.5, 0.75)[i % 3]
+    q = _rand_exponent(rng, i, equal_limits=True)
+    f = _rand_atoms(rng)
+    rep = lorentz_identification_check(f, theta, q, config.grid)
+    rep_fine = lorentz_identification_check(f, theta, q,
+                                            config.grid.refined(spo_factor=2))
+    passed = rep.passed and rep_fine.passed
+    if i % 25 == 0:
+        scaled = lorentz_identification_check(f.scaled(4.0), theta, q,
+                                              config.grid)
+        passed = passed and scaled.ratio == rep.ratio
+    return _Outcome(rep.ratio, passed, rep_fine.ratio)
+
+
+def _lorentz_discrete(rng, i, config):
+    p = _rand_exponent(rng, i)
+    q = _rand_exponent(rng, i + 1)
+    f = _rand_atoms(rng)
+    dn = lorentz_discrete_norm(f, p, q, config.grid.V)
+    cn = lorentz_norm(f, p, q, config.grid)
+    return _Outcome(dn / cn if cn > 0 else math.inf)
+
+
+def _rearrangement(rng, i, config):
+    f = _rand_atoms(rng, max_atoms=8)
+    profile = rearrangement(f)
+    scale = max(f.total_l1, 1e-300)
+    err = abs(profile.l1 - f.total_l1) / scale
+    err = max(err, abs(profile.integral_to(profile.total_mass * 2.0)
+                       - f.total_l1) / scale)
+    for lam in rng.uniform(0.0, f.sup_value * 1.1, 12):
+        mass_f = distribution_function(f, float(lam))
+        widths = np.diff(profile.breakpoints)
+        mass_star = float(np.sum(widths[profile.levels > lam]))
+        err = max(err, abs(mass_f - mass_star) / max(mass_f, 1.0))
+    for j in range(len(profile.levels)):
+        err = max(err, abs(profile.value_at(profile.breakpoints[j])
+                           - profile.levels[j]) / profile.levels[j])
+    return _Outcome(err)
+
+
+def _hardy_discrete(rng, i, config):
+    a = float(rng.uniform(0.1, 0.85))
+    q = (1.0, 2.0, math.inf, None)[i % 4]
+    if q is None:
+        q = float(rng.uniform(1.0, 4.0))
+    V = 24
+    values = rng.uniform(0.0, 1.0, 2 * V + 1) * (rng.random(2 * V + 1) < 0.7)
+    rep = hardy_discrete_check(HardyInstance(a, q, TwoSidedSequence(V, values)))
+    return _Outcome(rep.constant / rep.cap, rep.within_cap)
+
+
+def _hardy_continuous(rng, i, config):
     grid = HaarGrid(8, 16)
-    fine = grid.refined(spo_factor=2)
-    worst_c, worst_drift, worst_i = 0.0, 0.0, 0
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "hardy-continuous", i)
-        s = s_cycle[i % 3]
-        q = _rand_exponent(rng, i)
-        fn = _rand_block_callable(rng, quantum=grid.du)
-        rep = hardy_continuous_check(s, q, SampledFunction.from_callable(grid, fn))
-        rep_fine = hardy_continuous_check(s, q,
-                                          SampledFunction.from_callable(fine, fn))
-        drift = (abs(rep_fine.constant - rep.constant) / rep.constant
-                 if rep.constant > 0 else 0.0)
-        worst_drift = max(worst_drift, drift)
-        if rep.constant > worst_c:
-            worst_c, worst_i = rep.constant, i
-    passed = math.isfinite(worst_c) and worst_drift <= 0.1
-    return CheckReport("hardy-continuous", config.trials, worst_c, worst_i,
-                       passed, worst_drift)
+    s = (0.5, 1.0, 2.0)[i % 3]
+    q = _rand_exponent(rng, i)
+    fn = _rand_block_callable(rng, grid.du)
+    rep, rep_fine = (
+        hardy_continuous_check(s, q, SampledFunction.from_callable(g, fn))
+        for g in (grid, grid.refined(spo_factor=2)))
+    return _Outcome(rep.constant, refined=rep_fine.constant)
 
 
-def _key_estimate_driver(config, variant, check_id):
+def _key_estimate(variant, rng, i, config):
+    """Instances outside the normalization hypothesis are not accepted."""
     grid = config.grid
     nodes = grid.nodes
     V = grid.V
-    worst, worst_i, accepted, all_ok = math.inf, 0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, check_id, i)
-        p = _rand_variable_exponent(rng, lo=1.5, hi=3.0)
-        m = float(rng.uniform(1.0, 3.0))
-        if variant == "at_zero":
-            a, b = grid.t_min, float(2.0 ** rng.uniform(-V + 2.0, 0.0))
-        elif variant == "at_infinity":
-            a, b = float(2.0 ** rng.uniform(0.0, V - 2.0)), grid.t_max
-        else:
-            a, b = grid.t_min, float(2.0 ** rng.uniform(-V + 2.0, float(V)))
-        mask = (nodes > a) & (nodes < b)
-        w_vals = 10.0 ** rng.uniform(-0.5, 0.5, grid.node_count)
-        w = SampledFunction(grid, w_vals)
-        f_vals = np.zeros(grid.node_count)
-        f_vals[mask] = rng.uniform(0.0, 1.0, int(np.sum(mask)))
-        if i % 2 == 1:
-            # exercise the modular branch of the hypothesis: scale beyond
-            # sup-norm 1 but keep the f-modular over Q at 0.9
-            raw = np.zeros(grid.node_count)
-            raw[mask] = rng.uniform(0.0, 2.0, int(np.sum(mask)))
-            p_y = np.asarray(p(nodes[mask]), dtype=float)
-            dy = nodes[mask] * grid.du
-            wq = w_vals[mask]
+    p = _rand_variable_exponent(rng, lo=1.5, hi=3.0)
+    m = float(rng.uniform(1.0, 3.0))
+    if variant == "at_zero":
+        a, b = grid.t_min, float(2.0 ** rng.uniform(-V + 2.0, 0.0))
+    elif variant == "at_infinity":
+        a, b = float(2.0 ** rng.uniform(0.0, V - 2.0)), grid.t_max
+    else:
+        a, b = grid.t_min, float(2.0 ** rng.uniform(-V + 2.0, float(V)))
+    mask = (nodes > a) & (nodes < b)
+    w_vals = 10.0 ** rng.uniform(-0.5, 0.5, grid.node_count)
+    w = SampledFunction(grid, w_vals)
+    f_vals = np.zeros(grid.node_count)
+    f_vals[mask] = rng.uniform(0.0, 1.0, int(np.sum(mask)))
+    if i % 2 == 1:
+        # exercise the modular branch of the hypothesis: scale beyond
+        # sup-norm 1 but keep the f-modular over Q at 0.9
+        raw = np.zeros(grid.node_count)
+        raw[mask] = rng.uniform(0.0, 2.0, int(np.sum(mask)))
+        p_y = np.asarray(p(nodes[mask]), dtype=float)
+        dy = nodes[mask] * grid.du
+        wq = w_vals[mask]
 
-            def modular_at(c):
-                return float(np.sum((c * raw[mask]) ** p_y * wq * dy))
+        def modular_at(c):
+            return float(np.sum((c * raw[mask]) ** p_y * wq * dy))
 
-            hi = 1.0
-            for _ in range(60):
-                if modular_at(hi) >= 0.9 or hi > 1e6:
-                    break
-                hi *= 2.0
-            lo = 0.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if modular_at(mid) < 0.9:
-                    lo = mid
-                else:
-                    hi = mid
-            f_vals = raw * lo
-        f = SampledFunction(grid, f_vals)
-        rep = key_estimate_check(p, (a, b), w, f, m, variant)
-        if not rep.accepted:
-            continue
-        accepted += 1
-        all_ok &= rep.passed
-        if rep.worst_margin < worst:
-            worst, worst_i = rep.worst_margin, i
-    passed = all_ok and accepted == config.trials and worst >= -1e-12
-    return CheckReport(check_id, accepted, worst, worst_i, passed)
+        hi = 1.0
+        for _ in range(60):
+            if modular_at(hi) >= 0.9 or hi > 1e6:
+                break
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if modular_at(mid) < 0.9:
+                lo = mid
+            else:
+                hi = mid
+        f_vals = raw * lo
+    f = SampledFunction(grid, f_vals)
+    rep = key_estimate_check(p, (a, b), w, f, m, variant)
+    return _Outcome(rep.worst_margin, rep.passed, accepted=rep.accepted)
 
 
-def _check_key_estimate_local(config):
-    return _key_estimate_driver(config, "local", "key-estimate-local")
+def _class_membership(rng, i, config):
+    rep = class_membership_check(*_rand_k_problem(rng, i, config.grid))
+    return _Outcome(rep.k_class_constant, rep.passed)
 
 
-def _check_key_estimate_at_zero(config):
-    return _key_estimate_driver(config, "at_zero", "key-estimate-at-zero")
+_key_estimate_worst = _worst_min(-1e-12)
 
+_CHECKS = (
+    # worst relative error of the Luxemburg solver against rho^{1/q}
+    # (constant q) or of modular(phi / norm) against 1 (variable q)
+    _Check("luxemburg-closed-form", _luxemburg, _worst_max(limit=1e-6)),
+    # worst ratio by which the norm leaves the modular-power sandwich
+    _Check("modular-sandwich", _sandwich, _worst_max()),
+    # fraction of instances where norm <= 1 iff modular <= 1 (must be 1)
+    _Check("unit-ball", _unit_ball, _fraction),
+    # worst relative disagreement between closed-form K and its oracle
+    _Check("k-oracle", _k_oracle, _worst_max(limit=1e-6)),
+    # worst normalized margin of the K/J comparison inequalities (>= 0)
+    _Check("kj-functional-bounds", _kj_bounds, _worst_min(0.0)),
+    # corpus constant of discrete/continuous K-norm ratios; drift when V
+    # and the sampling density are doubled
+    _Check("k-discrete-continuous", _k_discrete_continuous, _bracket(0.05)),
+    # largest constant of the embedding chain A0 cap A1 -> X -> A0 + A1
+    _Check("embedding-chain", _embedding, _worst_max()),
+    # corpus constant of discrete J-norm / K-norm ratios; drift from V=16
+    # to V=24
+    _Check("kj-equivalence", _kj_equivalence, _bracket(0.1)),
+    # largest final residual ratio of truncated J-representations
+    _Check("density", _density, _worst_max()),
+    # largest lhs/rhs ratio of the interpolated operator bound (<= 1)
+    _Check("operator-bound", _operator, _worst_max()),
+    # largest embedding ratio for pointwise-larger exponents
+    _Check("prop-exponent-monotone", _prop_exponent_monotone, _worst_max()),
+    # largest deviation of the reversal-symmetry continuous ratio from 1
+    _Check("prop-reversal", _prop_reversal, _worst_max()),
+    # largest spread max(r, 1/r) of continuous norms for exponents with
+    # equal limits (at least 1)
+    _Check("prop-equal-limits", _prop_equal_limits, _worst_max(start=1.0)),
+    # largest theta-monotonicity constant on ordered couples
+    _Check("prop-theta-monotone", _prop_theta_monotone, _worst_max()),
+    # largest norm ratio on identical couples; it must be f-independent
+    # within each (theta, q) group
+    _Check("prop-identical-couple", _prop_identical_couple, _identical_groups),
+    # largest reiteration equivalence constant over at most two instances;
+    # drift is the largest change under inner-grid refinement
+    _Check("reiteration", _reiteration, _worst_max(), max_instances=2),
+    # corpus constant of K-method / Lorentz norm ratios on atoms; drift at
+    # doubled sampling density
+    _Check("lorentz-identification", _lorentz_identification, _bracket(0.1)),
+    # corpus constant of dyadic / continuous Lorentz norm ratios
+    _Check("lorentz-discrete", _lorentz_discrete, _bracket()),
+    # worst discrepancy in rearrangement identities (equimeasurability,
+    # mass and integral preservation, right-continuity)
+    _Check("rearrangement", _rearrangement, _worst_max(limit=1e-9)),
+    # largest measured-to-cap ratio of the discrete Hardy constant
+    _Check("hardy-discrete", _hardy_discrete, _worst_max()),
+    # largest continuous Hardy constant on the fixed grid HaarGrid(8, 16);
+    # drift at doubled sampling density
+    _Check("hardy-continuous", _hardy_continuous, _worst_max(drift_limit=0.1)),
+    # smallest margin of the key estimate over accepted instances (>= 0
+    # up to 1e-12); `instances` counts the accepted ones
+    _Check("key-estimate-local", functools.partial(_key_estimate, "local"),
+           _key_estimate_worst),
+    _Check("key-estimate-at-zero", functools.partial(_key_estimate, "at_zero"),
+           _key_estimate_worst),
+    _Check("key-estimate-at-infinity",
+           functools.partial(_key_estimate, "at_infinity"), _key_estimate_worst),
+    # largest K-class constant; all membership constants must be finite
+    _Check("class-membership", _class_membership, _worst_max()),
+)
 
-def _check_key_estimate_at_infinity(config):
-    return _key_estimate_driver(config, "at_infinity", "key-estimate-at-infinity")
-
-
-def _check_class_membership(config):
-    """Largest K-class constant; all membership constants must be finite."""
-    worst, worst_i, all_ok = 0.0, 0, True
-    for i in range(config.trials):
-        rng = instance_rng(config.seed, "class-membership", i)
-        theta = float(rng.uniform(0.2, 0.8))
-        q = _rand_exponent(rng, i)
-        if i % 2 == 0:
-            couple = _rand_weighted_couple(rng)
-            f = _rand_vector(rng, couple.dimension)
-        else:
-            couple = Couple.l1_linf()
-            f = _rand_atoms(rng)
-        rep = class_membership_check(couple, f, KMethodParams(theta, q, config.grid))
-        all_ok &= rep.passed
-        if rep.k_class_constant > worst:
-            worst, worst_i = rep.k_class_constant, i
-    return CheckReport("class-membership", config.trials, worst, worst_i, all_ok)
-
-
-CHECK_REGISTRY = {
-    "luxemburg-closed-form": _check_luxemburg,
-    "modular-sandwich": _check_sandwich,
-    "unit-ball": _check_unit_ball,
-    "k-oracle": _check_k_oracle,
-    "kj-functional-bounds": _check_kj_bounds,
-    "k-discrete-continuous": _check_k_discrete_continuous,
-    "embedding-chain": _check_embedding,
-    "kj-equivalence": _check_kj_equivalence,
-    "density": _check_density,
-    "operator-bound": _check_operator,
-    "prop-exponent-monotone": _check_prop_exponent_monotone,
-    "prop-reversal": _check_prop_reversal,
-    "prop-equal-limits": _check_prop_equal_limits,
-    "prop-theta-monotone": _check_prop_theta_monotone,
-    "prop-identical-couple": _check_prop_identical_couple,
-    "reiteration": _check_reiteration,
-    "lorentz-identification": _check_lorentz_identification,
-    "lorentz-discrete": _check_lorentz_discrete,
-    "rearrangement": _check_rearrangement,
-    "hardy-discrete": _check_hardy_discrete,
-    "hardy-continuous": _check_hardy_continuous,
-    "key-estimate-local": _check_key_estimate_local,
-    "key-estimate-at-zero": _check_key_estimate_at_zero,
-    "key-estimate-at-infinity": _check_key_estimate_at_infinity,
-    "class-membership": _check_class_membership,
-}
+CHECK_REGISTRY = {check.id: check for check in _CHECKS}
 
 CHECK_IDS = tuple(CHECK_REGISTRY)
 

@@ -15,7 +15,11 @@ from varinterp import (
     log_holder_constants,
     parse_exponent,
 )
-from varinterp.exponents import evaluate_expression, parse_expression
+from varinterp.exponents import (
+    _log_holder_endpoints,
+    evaluate_expression,
+    parse_expression,
+)
 
 
 def test_constant_exponent():
@@ -137,6 +141,9 @@ def test_log_holder_constant_of_forced_family():
     assert math.isfinite(cinf) and cinf >= 0.0
     assert cloc > 0.0
     assert witness[0] != witness[1]
+    # the O(n) endpoint constants alone, as the key-estimate checks use them
+    assert _log_holder_endpoints(p(grid.nodes), p.p_at_zero, p.p_at_infinity,
+                                 grid.nodes) == (c0, cinf)
 
 
 def test_estimate_log_holder_flags_jump():

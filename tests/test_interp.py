@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from varinterp import (
     proposition_checks,
     reiteration_check,
 )
+from varinterp import interp
 from varinterp.interp import (
     prop_equal_limits,
     prop_exponent_monotone,
@@ -239,6 +241,24 @@ def test_reiteration_smoke():
     assert rep.passed
     assert rep.theta == pytest.approx(0.5)
     assert math.isfinite(rep.constant) and rep.constant >= 1.0
+
+
+def test_reiteration_fails_when_brute_force_hits_its_cap(monkeypatch):
+    real = interp.k_brute_force
+    c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
+
+    def run():
+        return reiteration_check(c, F2, 0.25, 0.75, 0.5, Q2,
+                                 inner_grid=HaarGrid(2, 2), outer_V=1,
+                                 base_grid=HaarGrid(4, 4), refine=False,
+                                 resolution=1e-4)
+
+    def capped(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), cap_hit=True)
+
+    assert run().passed
+    monkeypatch.setattr(interp, "k_brute_force", capped)
+    assert not run().passed
 
 
 def test_reiteration_validation():

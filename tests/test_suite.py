@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from varinterp import (
     run_check,
     run_check_suite,
 )
+from varinterp import suite
 
 
 def test_instance_rng_reproducible():
@@ -144,3 +146,37 @@ def test_drift_column_empty_when_no_refinement(tmp_path):
     run_check_suite(config)
     row = (tmp_path / "summary.csv").read_text().splitlines()[1]
     assert row.split(",")[3] == ""
+
+
+def test_k_oracle_fails_when_brute_force_hits_its_cap(monkeypatch):
+    real = suite.k_brute_force
+
+    def capped(*args, return_details=False, **kwargs):
+        result = dataclasses.replace(
+            real(*args, return_details=True, **kwargs), cap_hit=True)
+        return result if return_details else result.value
+
+    assert run_check("k-oracle", trials=3).passed
+    monkeypatch.setattr(suite, "k_brute_force", capped)
+    assert not run_check("k-oracle", trials=3).passed
+
+
+# ids covering every reducer shape: worst-max (with and without drift),
+# worst-min, fraction, bracket (with and without drift), grouped spread
+INDEPENDENCE_IDS = (
+    "luxemburg-closed-form", "hardy-continuous", "kj-functional-bounds",
+    "key-estimate-local", "unit-ball", "lorentz-discrete",
+    "k-discrete-continuous", "prop-identical-couple",
+)
+
+
+def test_report_does_not_depend_on_the_rest_of_the_suite():
+    grid = HaarGrid(8, 8)
+    alone = {c: run_check(c, seed=5, trials=4, grid=grid)
+             for c in INDEPENDENCE_IDS}
+    checks = ("rearrangement", "density") + INDEPENDENCE_IDS[::-1]
+    _, reports = run_check_suite(CheckSuiteConfig(seed=5, trials=4, grid=grid,
+                                                  checks=checks))
+    together = {rep.check: rep for rep in reports}
+    for check_id, rep in alone.items():
+        assert together[check_id] == rep
