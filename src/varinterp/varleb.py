@@ -10,9 +10,9 @@ and the norm is the Luxemburg functional
 
     ||phi|| = inf { lam > 0 : rho(phi / lam) <= 1 },
 
-computed by bracketing and bisection. The same solver is reused by other
-modules through luxemburg_from_modular, which accepts any decreasing modular
-callable.
+computed by bracketing and bisection, with the bracket narrowed first. The
+same solver is reused by other modules through luxemburg_from_modular, which
+accepts any decreasing modular callable.
 
 The module also provides the discrete two-sided weighted norm
 
@@ -173,12 +173,50 @@ def modular(phi, q):
     return total
 
 
+def _narrow_bracket(rho, a, b, rho_a, rho_b, *, steps=8, width=2e-13):
+    """Shrink a bracket rho(a) > 1 >= rho(b) of a decreasing modular.
+
+    Takes secant steps on log rho against log lam through the last two
+    evaluations; they are exact when rho is a power of lam (constant
+    exponent) and converge fast when log rho is convex in log lam (variable
+    exponent). A step outside the bracket becomes a bisection step, and a
+    step shorter than `width` (relative) is lengthened to `width`, so once
+    the secant has found the root the next evaluation lands on its other
+    side. Stops once the bracket is narrower than `width` relative to b.
+    """
+    last = [(a, rho_a), (b, rho_b)]
+    for _ in range(steps):
+        if b - a <= width * b:
+            break
+        (x0, r0), (x1, r1) = last
+        x = math.nan
+        if 0.0 < min(r0, r1) and max(r0, r1) < math.inf and r0 != r1:
+            g0, g1 = math.log(r0), math.log(r1)
+            x = x1 * (x1 / x0) ** (-g1 / (g1 - g0))
+            if abs(x - x1) < width * x1:
+                x = x1 * (1.0 - width) if r1 <= 1.0 else x1 * (1.0 + width)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        r = rho(x)
+        if r <= 1.0:
+            b = x
+        else:
+            a = x
+        last = [(x1, r1), (x, r)]
+    return a, b
+
+
 def luxemburg_from_modular(rho, *, bisection_steps=60):
     """Solve inf { lam : rho(lam) <= 1 } for a decreasing modular rho(lam).
 
     Brackets by doubling or halving from lam = 1, then bisects. The returned
     value is the safe (upper) end of the final bracket, with relative width
-    well below 1e-10.
+    well below 1e-10. Before the bisection, _narrow_bracket finds a much
+    narrower bracket [a, b] around the root in a few evaluations; a
+    decreasing rho already decides every midpoint outside (a, b), so the
+    bisection evaluates rho only inside it. Its path, and so the returned
+    value, is that of the plain bisection whenever the computed rho is
+    monotone.
     """
     lam = 1.0
     value = rho(lam)
@@ -190,8 +228,9 @@ def luxemburg_from_modular(rho, *, bisection_steps=60):
             lam *= 0.5
             if lam < 1e-300:
                 return 0.0
-            if rho(lam) > 1.0:
-                lo, hi = lam, lam * 2.0
+            prev, value = value, rho(lam)
+            if value > 1.0:
+                lo, hi, rho_lo, rho_hi = lam, lam * 2.0, value, prev
                 break
         if lo is None:
             return 0.0
@@ -201,16 +240,18 @@ def luxemburg_from_modular(rho, *, bisection_steps=60):
             lam *= 2.0
             if lam > 1e300:
                 raise DivergenceError("modular does not drop below 1 at any scale")
-            if rho(lam) <= 1.0:
-                lo, hi = lam * 0.5, lam
+            prev, value = value, rho(lam)
+            if value <= 1.0:
+                lo, hi, rho_lo, rho_hi = lam * 0.5, lam, prev, value
                 break
         if hi is None:
             raise DivergenceError("modular does not drop below 1 at any scale")
+    a, b = _narrow_bracket(rho, lo, hi, rho_lo, rho_hi)
     for _ in range(bisection_steps):
         if hi - lo <= 1e-12 * hi:
             break
         mid = 0.5 * (lo + hi)
-        if rho(mid) <= 1.0:
+        if mid >= b or (mid > a and rho(mid) <= 1.0):
             hi = mid
         else:
             lo = mid
@@ -226,10 +267,10 @@ def luxemburg_norm(phi, q):
     du = phi.grid.du
 
     def rho(lam):
-        with np.errstate(over="ignore"):
-            return float(((values / lam) ** q_values).sum() * du)
+        return float(((values / lam) ** q_values).sum() * du)
 
-    return luxemburg_from_modular(rho)
+    with np.errstate(over="ignore"):
+        return luxemburg_from_modular(rho)
 
 
 @dataclass(frozen=True)

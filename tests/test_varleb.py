@@ -117,6 +117,51 @@ def test_luxemburg_solver_independent_of_modular_shape():
         assert got == pytest.approx(c, rel=1e-11)
 
 
+def plain_bisection(rho):
+    # the solver without its bracket narrowing: double or halve from 1,
+    # then bisect to relative width 1e-12 and return the upper end
+    lam = 1.0
+    if rho(lam) <= 1.0:
+        while rho(lam * 0.5) <= 1.0:
+            lam *= 0.5
+        lo, hi = lam * 0.5, lam
+    else:
+        while rho(lam * 2.0) > 1.0:
+            lam *= 2.0
+        lo, hi = lam, lam * 2.0
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if rho(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_luxemburg_solver_matches_plain_bisection_in_few_evaluations():
+    rng = np.random.default_rng(7)
+    q_var = ExponentFunction.from_expression("1.5 + 1/log(e + 1/t)",
+                                             p_at_zero=1.5, p_at_infinity=2.5)
+    for trial in range(40):
+        values = 10.0 ** rng.uniform(-3.0, 3.0, GRID.node_count)
+        values[rng.uniform(size=GRID.node_count) < 0.5] = 0.0
+        q = ExponentFunction.constant(1.0 + 3.0 * rng.uniform()) \
+            if trial % 2 else q_var
+        q_values = np.asarray(q(GRID.nodes), dtype=float)
+        calls = []
+
+        def rho(lam):
+            calls.append(lam)
+            return float(((values / lam) ** q_values).sum() * GRID.du)
+
+        got = luxemburg_from_modular(rho)
+        evaluations = len(calls)
+        assert got == plain_bisection(rho)
+        assert got == luxemburg_norm(SampledFunction(GRID, values), q)
+        # doubling from 1 to the root costs about log2(root) evaluations
+        assert evaluations <= abs(math.log2(got)) + 15
+
+
 def test_divergent_modular_raises():
     with pytest.raises(DivergenceError):
         luxemburg_from_modular(lambda lam: math.inf)
