@@ -135,7 +135,9 @@ class Couple:
 
     def norm0(self, f):
         if self.kind == "weighted_seq":
-            return float(np.sum(self.w0 * np.abs(np.asarray(f, dtype=float))))
+            # ndarray.sum is np.sum without its Python-level dispatch; the
+            # brute-force K calls this in its innermost loop
+            return float((self.w0 * np.abs(np.asarray(f, dtype=float))).sum())
         if self.kind == "l1_linf":
             return f.total_l1
         if self.norm0_spec is not None:
@@ -144,7 +146,7 @@ class Couple:
 
     def norm1(self, f):
         if self.kind == "weighted_seq":
-            return float(np.sum(self.w1 * np.abs(np.asarray(f, dtype=float))))
+            return float((self.w1 * np.abs(np.asarray(f, dtype=float))).sum())
         if self.kind == "l1_linf":
             return f.sup_value
         if self.norm1_spec is not None:
