@@ -33,7 +33,7 @@ from .couples import (
 )
 from .errors import CapacityError, ConfigError, ConstructionError
 from .exponents import ExponentFunction, essential_bounds
-from .rearrange import AtomFunction, lorentz_norm
+from .rearrange import lorentz_norm
 from .varleb import (
     HaarGrid,
     LambdaNormParams,
@@ -121,10 +121,10 @@ class EmbeddingReport:
     passed: bool
 
 
-def embedding_checks(couple, f, params, *, n_probes=20, slack=1.01):
+def embedding_checks(couple, f, params):
     """Pointwise growth bound and the embedding chain constants.
 
-    Verifies K(s, f) <= slack * gamma * s^theta * ||f|| at log-spaced probes
+    Verifies K(s, f) <= 1.01 * gamma * s^theta * ||f|| at 20 log-spaced probes
     with gamma = ((1 - theta) q+)^{1/q+}, and records the constants of
     A0 cap A1 -> (A0, A1)_{th,q} -> A0 + A1, namely ||f|| / J(1, f) and
     K(1, f) / ||f||.
@@ -133,7 +133,7 @@ def embedding_checks(couple, f, params, *, n_probes=20, slack=1.01):
     theta = params.theta
     _, q_plus = essential_bounds(params.q, params.grid)
     gamma = ((1.0 - theta) * q_plus) ** (1.0 / q_plus)
-    ss = np.geomspace(params.grid.t_min, params.grid.t_max, n_probes)
+    ss = np.geomspace(params.grid.t_min, params.grid.t_max, 20)
     kvals = k_functional_many(couple, ss, f)
     ratios = kvals / ss ** theta
     sup_ratio = float(np.max(ratios))
@@ -142,7 +142,7 @@ def embedding_checks(couple, f, params, *, n_probes=20, slack=1.01):
         c_int = 0.0
         c_sum = 0.0
     else:
-        growth_margin = (slack * gamma * knorm - sup_ratio) / (gamma * knorm)
+        growth_margin = (1.01 * gamma * knorm - sup_ratio) / (gamma * knorm)
         j_one = j_functional(couple, 1.0, f)
         c_int = knorm / j_one if j_one > 0 else 0.0
         c_sum = k_functional(couple, 1.0, f) / knorm
@@ -154,16 +154,6 @@ def embedding_checks(couple, f, params, *, n_probes=20, slack=1.01):
 # ---------------------------------------------------------------------------
 # J-method representations
 # ---------------------------------------------------------------------------
-
-
-def _subtract(couple, a, b):
-    if couple.kind == "l1_linf":
-        diff = a.values - b.values
-        scale = max(float(np.max(np.abs(a.values), initial=0.0)), 1e-300)
-        if np.any(diff < -1e-9 * scale):
-            raise ConstructionError("telescoping produced a negative part")
-        return AtomFunction(np.maximum(diff, 0.0), a.masses)
-    return np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -182,13 +172,13 @@ class JRepresentation:
         return self.terms[v + self.V]
 
 
-def construct_j_representation(couple, f, V, *, ratio_cap=3.03):
+def construct_j_representation(couple, f, V):
     """Build f = sum u_v by telescoping near-optimal K-decompositions.
 
     With f = f0_v + f1_v the decomposition at t = 2^v, the terms are
     u_{-V} = f0_{-V+1}, u_v = f0_{v+1} - f0_v, and u_V = f - f0_V, which sum
     to f exactly. For exact decompositions J(2^v, u_v) <= 3 K(2^v, f); the
-    report records the worst observed ratio against ratio_cap.
+    report records the worst observed ratio against the cap 3.03.
     """
     if V < 1:
         raise ConfigError("V must be >= 1")
@@ -208,8 +198,8 @@ def construct_j_representation(couple, f, V, *, ratio_cap=3.03):
 
     terms = [parts[-V + 1]]
     for v in range(-V + 1, V):
-        terms.append(_subtract(couple, parts[v + 1], parts[v]))
-    terms.append(_subtract(couple, f, parts[V]))
+        terms.append(couple.difference(parts[v + 1], parts[v]))
+    terms.append(couple.difference(f, parts[V]))
 
     j_values = np.array([j_functional(couple, float(2.0 ** v), u)
                          for v, u in zip(vs, terms)])
@@ -217,7 +207,7 @@ def construct_j_representation(couple, f, V, *, ratio_cap=3.03):
         ratios = np.where(k_values > 0, j_values / np.maximum(k_values, 1e-300), 0.0)
     worst = float(np.max(ratios)) if len(ratios) else 0.0
     return JRepresentation(V, terms, k_values, j_values, ratios, worst,
-                           bool(worst <= ratio_cap))
+                           bool(worst <= 3.03))
 
 
 def j_norm_discrete(couple, representation, theta, q_zero, q_infinity):
@@ -289,12 +279,7 @@ def density_check(couple, f, params, N_list=None, *, V=None):
         if not tail:
             ratios.append(0.0)
             continue
-        if couple.kind == "l1_linf":
-            values = np.sum([u.values for u in tail], axis=0)
-            residual = AtomFunction(values, f.masses)
-        else:
-            residual = np.sum(tail, axis=0)
-        rk = k_norm_continuous(couple, residual, params)
+        rk = k_norm_continuous(couple, couple.total(tail), params)
         ratios.append(rk / knorm if knorm > 0 else 0.0)
     diffs = np.diff(ratios)
     non_increasing = bool(np.all(diffs <= 1e-12))
@@ -403,8 +388,8 @@ def prop_theta_monotone(couple, f, theta_small, theta_large, q, grid):
     ||f||_{theta_large}. Also confirms K(t, f) is flat for t >= 1."""
     if not theta_small <= theta_large:
         raise ConfigError("need theta_small <= theta_large")
-    if couple.kind == "weighted_seq" and np.any(couple.w0 > couple.w1):
-        raise ConfigError("prop_theta_monotone needs an ordered couple (w0 <= w1)")
+    if not couple.ordered:
+        raise ConfigError("prop_theta_monotone needs an ordered couple (norm0 <= norm1)")
     n_small = k_norm_continuous(couple, f, KMethodParams(theta_small, q, grid))
     n_large = k_norm_continuous(couple, f, KMethodParams(theta_large, q, grid))
     k_one = k_functional(couple, 1.0, f)
@@ -445,7 +430,7 @@ def prop_identical_couple(weights, f, theta, q, grid):
 
 
 def proposition_checks(couple, f, params=None, *, V=8):
-    """Run every structural proposition applicable to the couple kind."""
+    """Run every structural proposition applicable to the couple."""
     if params is None:
         params = KMethodParams(0.5, ExponentFunction.constant(2.0), HaarGrid(8, 16))
     theta, q, grid = params.theta, params.q, params.grid
@@ -465,10 +450,11 @@ def proposition_checks(couple, f, params=None, *, V=8):
             p_at_zero=q.p_at_zero, p_at_infinity=q.p_at_infinity)
         reports["equal_limits"] = prop_equal_limits(
             couple, f, theta, q, q_wobble, V=V, grid=grid)
-    if couple.kind == "weighted_seq" and np.all(couple.w0 <= couple.w1):
+    if couple.ordered:
         reports["theta_monotone"] = prop_theta_monotone(
             couple, f, min(theta, 0.75) * 0.5, theta, q, grid)
-    if couple.kind == "weighted_seq" and np.array_equal(couple.w0, couple.w1):
+    # ordered both ways: norm0 == norm1
+    if couple.ordered and reverse(couple).ordered:
         reports["identical_couple"] = prop_identical_couple(
             couple.w0, f, theta, q, grid)
     return reports

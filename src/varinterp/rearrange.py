@@ -175,6 +175,25 @@ def rearrangement(f):
 # ---------------------------------------------------------------------------
 
 
+def _log_midpoints(bounds, du):
+    """Midpoint nodes and log widths of the cells between adjacent bounds,
+    each cut into the fewest equal pieces of log width at most du.
+
+    The pieces are those of np.linspace(log lo, log hi, parts + 1) per cell,
+    built for all cells at once with its float operations: edge k is
+    k * ((log hi - log lo) / parts) + log lo, and the last edge is log hi.
+    """
+    lo = np.log(bounds[:-1])
+    hi = np.log(bounds[1:])
+    parts = np.maximum(1, np.ceil((hi - lo) / du - 1e-9)).astype(np.int64)
+    cell = np.repeat(np.arange(len(parts)), parts)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(parts) - parts, parts)
+    step = ((hi - lo) / parts)[cell]
+    left = k * step + lo[cell]
+    right = np.where(k + 1 == parts[cell], hi[cell], (k + 1) * step + lo[cell])
+    return np.exp(0.5 * (left + right)), right - left
+
+
 def lorentz_norm(f, p, q, grid):
     """Variable Lorentz norm || t^{1/p(t) - 1/q(t)} f*(t) ||_{L^{q(.)}(dt)}.
 
@@ -190,7 +209,6 @@ def lorentz_norm(f, p, q, grid):
     if not len(profile.levels):
         return 0.0
     end = profile.total_mass
-    du = grid.du
 
     cuts = np.concatenate([
         grid.t_min * 2.0 ** (np.arange(2 * grid.V * grid.samples_per_octave + 1)
@@ -209,19 +227,8 @@ def lorentz_norm(f, p, q, grid):
     # two scale the norm exactly
     stub_geom = first ** (q_zero / p_zero) * (p_zero / q_zero)
 
-    nodes = []
-    node_widths = []
     if len(bounds) > 1:
-        lo = np.log(bounds[:-1])
-        hi = np.log(bounds[1:])
-        for a, b in zip(lo, hi):
-            parts = max(1, math.ceil((b - a) / du - 1e-9))
-            edges = np.linspace(a, b, parts + 1)
-            nodes.append(np.exp(0.5 * (edges[:-1] + edges[1:])))
-            node_widths.append(np.diff(edges))
-    if nodes:
-        t_nodes = np.concatenate(nodes)
-        widths = np.concatenate(node_widths)
+        t_nodes, widths = _log_midpoints(bounds, grid.du)
         levels = profile.value_at(t_nodes)
         p_vals = np.asarray(p(t_nodes), dtype=float)
         q_vals = np.asarray(q(t_nodes), dtype=float)

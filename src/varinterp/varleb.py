@@ -206,17 +206,17 @@ def _narrow_bracket(rho, a, b, rho_a, rho_b, *, steps=8, width=2e-13):
     return a, b
 
 
-def luxemburg_from_modular(rho, *, bisection_steps=60):
+def luxemburg_from_modular(rho):
     """Solve inf { lam : rho(lam) <= 1 } for a decreasing modular rho(lam).
 
-    Brackets by doubling or halving from lam = 1, then bisects. The returned
-    value is the safe (upper) end of the final bracket, with relative width
-    well below 1e-10. Before the bisection, _narrow_bracket finds a much
-    narrower bracket [a, b] around the root in a few evaluations; a
-    decreasing rho already decides every midpoint outside (a, b), so the
-    bisection evaluates rho only inside it. Its path, and so the returned
-    value, is that of the plain bisection whenever the computed rho is
-    monotone.
+    Brackets by doubling or halving from lam = 1, then bisects, at most 60
+    steps. The returned value is the safe (upper) end of the final bracket,
+    with relative width well below 1e-10. Before the bisection,
+    _narrow_bracket finds a much narrower bracket [a, b] around the root in
+    a few evaluations; a decreasing rho already decides every midpoint
+    outside (a, b), so the bisection evaluates rho only inside it. Its path,
+    and so the returned value, is that of the plain bisection whenever the
+    computed rho is monotone.
     """
     lam = 1.0
     value = rho(lam)
@@ -247,7 +247,7 @@ def luxemburg_from_modular(rho, *, bisection_steps=60):
         if hi is None:
             raise DivergenceError("modular does not drop below 1 at any scale")
     a, b = _narrow_bracket(rho, lo, hi, rho_lo, rho_hi)
-    for _ in range(bisection_steps):
+    for _ in range(60):
         if hi - lo <= 1e-12 * hi:
             break
         mid = 0.5 * (lo + hi)

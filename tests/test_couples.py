@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -28,6 +33,8 @@ from varinterp import (
     operator_bound_check,
     reverse,
 )
+from varinterp import couples
+from varinterp.couples import _brent_bounded
 
 
 LL = Couple.l1_linf()
@@ -193,6 +200,69 @@ def test_finite_generic_norm_specs():
     kv = k_functional(c, 1.5, f)
     assert kv <= c.norm0(f) + 1e-12
     assert kv <= 1.5 * c.norm1(f) + 1e-12
+
+
+def test_generic_couple_raises_when_brute_force_hits_its_cap(monkeypatch):
+    real = couples.k_brute_force
+    c = Couple.finite_generic(NormSpec(2.0, [1.0, 1.0]), NormSpec(1.0, [1.0, 2.0]))
+    f = np.array([1.0, -0.5])
+    k_functional_many(c, [0.5, 2.0], f)
+    decompose(c, 2.0, f)
+
+    def capped(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), cap_hit=True)
+
+    monkeypatch.setattr(couples, "k_brute_force", capped)
+    with pytest.raises(CapacityError):
+        k_functional_many(c, [0.5, 2.0], f)
+    with pytest.raises(CapacityError):
+        decompose(c, 2.0, f)
+
+
+def test_brent_bounded_matches_scipy_bit_for_bit():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(3)
+    for i in range(400):
+        a = float(rng.uniform(-5.0, 1.0))
+        b = a + float(10.0 ** rng.uniform(-6.0, 1.0))
+        centre = float(rng.uniform(a - 1.0, b + 1.0))
+        curvature = float(10.0 ** rng.uniform(-3.0, 3.0))
+        kink = float(rng.uniform(a, b))
+        # odd i: a kinked convex function, as from a sup or l1 norm
+        slope = float(rng.uniform(0.0, 5.0)) if i % 2 else 0.0
+        xatol = float(10.0 ** rng.uniform(-14.0, -2.0))
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return curvature * (x - centre) ** 2 + slope * abs(x - kink)
+
+        x, fx = _brent_bounded(func, a, b, xatol)
+        ours = len(calls)
+        calls.clear()
+        ref = optimize.minimize_scalar(func, bounds=(a, b), method="bounded",
+                                       options={"xatol": xatol})
+        assert (x, fx, ours) == (float(ref.x), float(ref.fun), ref.nfev)
+        assert len(calls) == ours
+
+
+def test_brute_force_k_runs_without_scipy():
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        from varinterp import Couple, NormSpec, k_functional, run_check
+        assert run_check("k-oracle", trials=6).passed
+        c = Couple.finite_generic(NormSpec(2.0, [1.0, 1.0]),
+                                  NormSpec(1.0, [1.0, 2.0]))
+        print(k_functional(c, 1.5, np.array([1.0, -0.5])))
+    """)
+    src = os.path.dirname(os.path.dirname(couples.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) > 0.0
 
 
 def test_couple_json_round_trip():

@@ -14,6 +14,7 @@ from varinterp import (
     lorentz_norm,
     rearrangement,
 )
+from varinterp.rearrange import _log_midpoints
 
 
 GRID = HaarGrid(16, 32)
@@ -120,6 +121,21 @@ def test_lorentz_norm_power_of_two_scaling_exact():
     base = lorentz_norm(f, const(2.0), q, GRID)
     assert lorentz_norm(f.scaled(4.0), const(2.0), q, GRID) == 4.0 * base
     assert lorentz_norm(f.scaled(0.25), const(2.0), q, GRID) == 0.25 * base
+
+
+def test_log_midpoints_match_a_linspace_per_cell():
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        bounds = np.unique(10.0 ** rng.uniform(-6.0, 6.0, int(rng.integers(2, 40))))
+        du = float(rng.uniform(0.01, 2.0))
+        nodes, widths = [], []
+        for a, b in zip(np.log(bounds[:-1]), np.log(bounds[1:])):
+            edges = np.linspace(a, b, max(1, math.ceil((b - a) / du - 1e-9)) + 1)
+            nodes.append(np.exp(0.5 * (edges[:-1] + edges[1:])))
+            widths.append(np.diff(edges))
+        t_nodes, t_widths = _log_midpoints(bounds, du)
+        assert np.array_equal(t_nodes, np.concatenate(nodes))
+        assert np.array_equal(t_widths, np.concatenate(widths))
 
 
 def test_lorentz_discrete_indicator_value():
