@@ -35,13 +35,15 @@ f = SampledFunction.from_callable(
     grid, lambda t: np.where((t >= 0.5) & (t < 2.0), 1.5, 0.0))
 
 # With a constant exponent the Luxemburg norm has a closed form: the
-# modular to the power 1/q. The solver does not know that; it bisects.
+# modular to the power 1/q. luxemburg_norm sees that the exponent takes one
+# value on the grid and computes it so, after scaling f by a power of two.
 norm_const = luxemburg_norm(f, q_const)
 closed = modular(f, q_const) ** 0.5
-print(f"constant q = 2: solver {norm_const:.12f}, closed form {closed:.12f}")
+print(f"constant q = 2: norm {norm_const:.12f}, modular^(1/2) {closed:.12f}")
 
-# With a variable exponent there is no closed form, but the defining
-# property survives: the modular of f divided by its norm equals 1.
+# With a variable exponent there is no closed form; luxemburg_norm brackets
+# and bisects, and the defining property holds: the modular of f divided by
+# its norm equals 1.
 norm_var = luxemburg_norm(f, q_var)
 at_norm = modular(f.scaled(1.0 / norm_var), q_var)
 print(f"variable q: norm {norm_var:.12f}, modular at the norm {at_norm:.12f}")

@@ -344,7 +344,7 @@ def k_functional(couple, t, f):
 def k_functional_many(couple, ts, f):
     """K(t, f) for an array of t values, sharing work across them."""
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 0) or not np.all(np.isfinite(ts)):
+    if (ts <= 0).any() or not np.isfinite(ts).all():
         raise DomainError("the functional parameter t must be a finite positive real")
     return couple.k_many(ts, f)
 

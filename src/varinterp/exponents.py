@@ -233,6 +233,8 @@ class ExponentFunction:
     _tree: tuple | None = field(default=None, repr=False)
     _breakpoints: np.ndarray | None = field(default=None, repr=False)
     _cell_values: np.ndarray | None = field(default=None, repr=False)
+    _grid_values: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     @classmethod
     def constant(cls, value):
@@ -293,21 +295,34 @@ class ExponentFunction:
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         t_arr = np.atleast_1d(t_arr)
-        if np.any(t_arr <= 0.0) or not np.all(np.isfinite(t_arr)):
+        if (t_arr <= 0.0).any() or not np.isfinite(t_arr).all():
             raise DomainError("exponent argument must be a finite positive real")
         if self.kind == "constant":
             out = np.full_like(t_arr, self.p_at_zero)
         elif self.kind == "expression":
             out = evaluate_expression(self._tree, t_arr)
-            if not np.all(np.isfinite(out)):
+            if not np.isfinite(out).all():
                 raise InvalidExponentError("expression evaluated to a non-finite value")
-            if np.any(out < 1.0 - 1e-12):
+            if (out < 1.0 - 1e-12).any():
                 raise InvalidExponentError("expression evaluated below 1")
             out = np.maximum(out, 1.0)
         else:
             idx = np.searchsorted(self._breakpoints, t_arr, side="right")
             out = self._cell_values[idx]
         return float(out[0]) if scalar else out
+
+    def on_grid(self, grid):
+        """The values at the nodes of a HaarGrid, as a read-only array.
+
+        They are evaluated, and so validated, on the first call for a grid
+        and kept for later calls with an equal grid.
+        """
+        values = self._grid_values.get(grid)
+        if values is None:
+            values = self(grid.nodes)
+            values.flags.writeable = False
+            self._grid_values[grid] = values
+        return values
 
 
 def _probe(tree, t):

@@ -509,11 +509,12 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
 
     def outer_norm_on(grid_in):
         def make_norm(theta_i, q_i):
+            params = KMethodParams(theta_i, q_i, grid_in)
+
             def nrm(g):
-                if not np.any(g):
+                if not g.any():
                     return 0.0
-                return k_norm_continuous(couple, g,
-                                         KMethodParams(theta_i, q_i, grid_in))
+                return k_norm_continuous(couple, g, params)
             return nrm
 
         derived = Couple.finite_generic(make_norm(theta0, q0), make_norm(theta1, q1))

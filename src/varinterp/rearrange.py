@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DivergenceError, DomainError
 from .varleb import luxemburg_from_modular
 
 __all__ = [
@@ -263,8 +263,9 @@ def lorentz_discrete_norm(f, p, q, V):
     qi, pi = q.p_at_infinity, p.p_at_infinity
     lower = v <= 0
     upper = ~lower
-    s0 = float(np.sum(2.0 ** (v[lower] * q0 / p0) * fstar[lower] ** q0))
-    s1 = float(np.sum(2.0 ** (v[upper] * qi / pi) * fstar[upper] ** qi))
+    with np.errstate(over="ignore"):
+        s0 = float(np.sum(2.0 ** (v[lower] * q0 / p0) * fstar[lower] ** q0))
+        s1 = float(np.sum(2.0 ** (v[upper] * qi / pi) * fstar[upper] ** qi))
     if not (math.isfinite(s0) and math.isfinite(s1)):
-        raise ConfigError("discrete Lorentz modular overflowed")
+        raise DivergenceError("discrete Lorentz modular overflowed")
     return s0 ** (1.0 / q0) + s1 ** (1.0 / qi)

@@ -618,8 +618,8 @@ def _class_membership(rng, i, config):
 _key_estimate_worst = _worst_min(-1e-12)
 
 _CHECKS = (
-    # worst relative error of the Luxemburg solver against rho^{1/q}
-    # (constant q) or of modular(phi / norm) against 1 (variable q)
+    # worst relative error of luxemburg_norm against rho^{1/q} from
+    # modular (constant q) or of modular(phi / norm) against 1 (variable q)
     _Check("luxemburg-closed-form", _luxemburg, _worst_max(limit=1e-6)),
     # worst ratio by which the norm leaves the modular-power sandwich
     _Check("modular-sandwich", _sandwich, _worst_max()),

@@ -8,11 +8,13 @@ function phi is the midpoint rule in u = ln t:
 
 and the norm is the Luxemburg functional
 
-    ||phi|| = inf { lam > 0 : rho(phi / lam) <= 1 },
+    ||phi|| = inf { lam > 0 : rho(phi / lam) <= 1 }.
 
-computed by bracketing and bisection, with the bracket narrowed first. The
-same solver is reused by other modules through luxemburg_from_modular, which
-accepts any decreasing modular callable.
+Where the exponent takes one value q on the grid, rho(phi / lam) =
+rho(phi) / lam^q, so the norm is rho(phi)^{1/q} and is computed directly.
+Otherwise it is solved by bracketing and bisection, with the bracket
+narrowed first. The same solver is reused by other modules through
+luxemburg_from_modular, which accepts any decreasing modular callable.
 
 The module also provides the discrete two-sided weighted norm
 
@@ -26,12 +28,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError, GridMismatchError
+from .exponents import ExponentFunction, essential_bounds
 
 __all__ = [
     "HaarGrid",
@@ -126,9 +130,9 @@ class SampledFunction:
         if values.shape != (self.grid.node_count,):
             raise GridMismatchError(
                 f"expected {self.grid.node_count} samples, got {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ConfigError("samples must be finite")
-        if np.any(values < 0.0):
+        if (values < 0.0).any():
             raise ConfigError("samples must be nonnegative")
 
     @classmethod
@@ -159,8 +163,13 @@ class SampledFunction:
 
 
 def _exponent_values(q, grid):
+    """q at the grid nodes. An ExponentFunction is evaluated once per grid
+    and is valid by construction; a plain callable is evaluated and checked
+    on every call."""
+    if isinstance(q, ExponentFunction):
+        return q.on_grid(grid)
     values = np.asarray(q(grid.nodes), dtype=float)
-    if np.any(values < 1.0) or not np.all(np.isfinite(values)):
+    if (values < 1.0).any() or not np.isfinite(values).all():
         raise ConfigError("exponent must be finite and >= 1 on the grid")
     return values
 
@@ -258,13 +267,51 @@ def luxemburg_from_modular(rho):
     return hi
 
 
+# luxemburg_from_modular doubles or halves lam from 1 and gives up past 1e300
+# and below 1e-300, that is beyond the powers of two 2^996 and 2^-996; the
+# closed form keeps the same two ends
+_NORM_MAX = 2.0 ** 996
+_NORM_MIN = 2.0 ** -996
+
+
+def _constant_exponent_norm(values, q, du):
+    """rho(phi)^{1/q} for a constant exponent q, or None if rho underflows.
+
+    phi is first scaled by 2^-e, where max phi = m 2^e with 1/2 <= m < 1.
+    That is exact, keeps every power phi_i^q <= 1, and makes the result
+    scale exactly with phi by powers of two. The sum underflows only for q
+    beyond about 1000.
+    """
+    e = math.frexp(float(values.max()))[1]
+    total = float((np.ldexp(values, -e) ** q).sum() * du)
+    if not total >= sys.float_info.min:
+        return None
+    try:
+        norm = math.ldexp(total ** (1.0 / q), e)
+    except OverflowError:
+        norm = math.inf
+    if norm > _NORM_MAX:
+        raise DivergenceError("Luxemburg norm exceeds 1e300")
+    return norm if norm > _NORM_MIN else 0.0
+
+
 def luxemburg_norm(phi, q):
-    """Luxemburg norm of a sampled function for exponent q."""
+    """Luxemburg norm of a sampled function for exponent q.
+
+    If q takes a single value on the grid the norm is rho(phi)^{1/q},
+    computed in closed form; otherwise luxemburg_from_modular solves for
+    it. Both raise DivergenceError for a norm above about 1e300 and return
+    0.0 for one below about 1e-300.
+    """
     values = phi.values
-    if not np.any(values > 0.0):
+    if not (values > 0.0).any():
         return 0.0
     q_values = _exponent_values(q, phi.grid)
     du = phi.grid.du
+    if (q_values == q_values[0]).all():
+        norm = _constant_exponent_norm(values, float(q_values[0]), du)
+        if norm is not None:
+            return norm
 
     def rho(lam):
         return float(((values / lam) ** q_values).sum() * du)
@@ -302,8 +349,6 @@ class SandwichReport:
 
 def modular_norm_sandwich(phi, q):
     """Check min/max of rho^{1/q-}, rho^{1/q+} bracket the norm."""
-    from .exponents import essential_bounds
-
     rho = modular(phi, q)
     norm = luxemburg_norm(phi, q)
     q_minus, q_plus = essential_bounds(q, phi.grid)

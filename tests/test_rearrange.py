@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from varinterp import (
     AtomFunction,
+    DivergenceError,
     ExponentFunction,
     HaarGrid,
     distribution_function,
@@ -143,6 +145,16 @@ def test_lorentz_discrete_indicator_value():
     # continuity, so only v <= -1 contribute: sum 2^v over v in [-V, -1]
     got = lorentz_discrete_norm(CHI, const(2.0), const(2.0), 16)
     assert got == pytest.approx(math.sqrt(1.0 - 2.0 ** -16), rel=1e-14)
+
+
+def test_lorentz_discrete_overflow_is_divergence():
+    # like lambda_norm: an overflowing modular is a divergence (CLI exit 3),
+    # reported without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            lorentz_discrete_norm(AtomFunction([1e200], [1.0]),
+                                  const(2.0), const(2.0), 4)
 
 
 def test_lorentz_discrete_brackets_continuous():

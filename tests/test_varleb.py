@@ -102,11 +102,26 @@ def test_luxemburg_zero_function():
 
 def test_luxemburg_power_of_two_scaling_exact():
     phi = bump(GRID)
-    q = ExponentFunction.from_expression("2 + 1/log(e + 1/t)",
-                                         p_at_zero=2.0, p_at_infinity=3.0)
-    norm = luxemburg_norm(phi, q)
-    assert luxemburg_norm(phi.scaled(4.0), q) == 4.0 * norm
-    assert luxemburg_norm(phi.scaled(0.25), q) == 0.25 * norm
+    # a variable exponent takes the solver, a constant one the closed form
+    for q in (ExponentFunction.from_expression("2 + 1/log(e + 1/t)",
+                                               p_at_zero=2.0, p_at_infinity=3.0),
+              ExponentFunction.constant(2.7)):
+        norm = luxemburg_norm(phi, q)
+        assert luxemburg_norm(phi.scaled(4.0), q) == 4.0 * norm
+        assert luxemburg_norm(phi.scaled(0.25), q) == 0.25 * norm
+
+
+def test_luxemburg_constant_exponent_ends():
+    # the closed form keeps the solver's ends: 0.0 for a norm below 1e-300,
+    # DivergenceError for one above 1e300
+    phi = bump(GRID)
+    q = ExponentFunction.constant(2.7)
+    assert 0.0 < luxemburg_norm(phi.scaled(1e-290), q) < 1e-289
+    assert luxemburg_norm(phi.scaled(1e-301), q) == 0.0
+    assert luxemburg_norm(phi.scaled(1e-320), q) == 0.0
+    assert luxemburg_norm(phi.scaled(1e290), q) > 1e290
+    with pytest.raises(DivergenceError):
+        luxemburg_norm(phi.scaled(1e301), q)
 
 
 def test_luxemburg_solver_independent_of_modular_shape():
@@ -157,9 +172,84 @@ def test_luxemburg_solver_matches_plain_bisection_in_few_evaluations():
         got = luxemburg_from_modular(rho)
         evaluations = len(calls)
         assert got == plain_bisection(rho)
-        assert got == luxemburg_norm(SampledFunction(GRID, values), q)
+        norm = luxemburg_norm(SampledFunction(GRID, values), q)
+        if q.is_constant:
+            # luxemburg_norm takes the closed form, exact up to rounding; the
+            # solver stops within its bracket width
+            assert norm == pytest.approx(got, rel=1e-12)
+        else:
+            assert norm == got
         # doubling from 1 to the root costs about log2(root) evaluations
         assert evaluations <= abs(math.log2(got)) + 15
+
+
+def test_luxemburg_constant_exponent_past_underflow():
+    # with q = 2000 every scaled power phi_i^q underflows, so the solver
+    # takes over from the closed form: ||h 1_E|| = h * |E|^{1/q}
+    phi = bump(GRID)
+    length = GRID.du * np.count_nonzero(phi.values)
+    got = luxemburg_norm(phi, ExponentFunction.constant(2000.0))
+    assert got == pytest.approx(1.3 * length ** (1.0 / 2000.0), rel=1e-12)
+
+
+def reference_norm(values, q, du):
+    """The constant-exponent Luxemburg norm by plain bisection on the raw
+    modular, with the solver's ends: 0.0 once lam falls below 1e-300 and
+    None (divergence) once it passes 1e300."""
+    def rho(lam):
+        with np.errstate(over="ignore"):
+            return float(((values / lam) ** q).sum()) * du
+
+    lam = 1.0
+    if rho(lam) <= 1.0:
+        while rho(lam * 0.5) <= 1.0:
+            lam *= 0.5
+            if lam * 0.5 < 1e-300:
+                return 0.0
+        lo, hi = lam * 0.5, lam
+    else:
+        while rho(lam * 2.0) > 1.0:
+            lam *= 2.0
+            if lam * 2.0 > 1e300:
+                return None
+        lo, hi = lam, lam * 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if rho(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+SMALL = HaarGrid(2, 8)
+
+_magnitudes = st.one_of(
+    st.floats(min_value=-300.0, max_value=300.0).map(lambda x: 10.0 ** x),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.just(0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_magnitudes, min_size=SMALL.node_count,
+                max_size=SMALL.node_count),
+       st.floats(min_value=1.0, max_value=50.0),
+       st.integers(min_value=0, max_value=SMALL.node_count))
+def test_constant_exponent_closed_form_matches_bisection(values, qv, zeros):
+    # a block of zeros of random length, then magnitudes from subnormal to
+    # 1e300 in the rest
+    values = np.array(values)
+    values[:zeros] = 0.0
+    phi = SampledFunction(SMALL, values)
+    q = ExponentFunction.constant(qv)
+    want = reference_norm(values, qv, SMALL.du)
+    if want is None:
+        with pytest.raises(DivergenceError):
+            luxemburg_norm(phi, q)
+    else:
+        assert luxemburg_norm(phi, q) == pytest.approx(want, rel=1e-12)
 
 
 def test_divergent_modular_raises():
