@@ -35,15 +35,16 @@ f = SampledFunction.from_callable(
     grid, lambda t: np.where((t >= 0.5) & (t < 2.0), 1.5, 0.0))
 
 # With a constant exponent the Luxemburg norm has a closed form: the
-# modular to the power 1/q. luxemburg_norm sees that the exponent takes one
-# value on the grid and computes it so, after scaling f by a power of two.
+# modular to the power 1/q. luxemburg_norm's solver brackets the norm between
+# the modular to the powers 1/q- and 1/q+, which for a constant exponent is
+# that closed form at its first evaluation.
 norm_const = luxemburg_norm(f, q_const)
 closed = modular(f, q_const) ** 0.5
 print(f"constant q = 2: norm {norm_const:.12f}, modular^(1/2) {closed:.12f}")
 
-# With a variable exponent there is no closed form; luxemburg_norm brackets
-# and bisects, and the defining property holds: the modular of f divided by
-# its norm equals 1.
+# With a variable exponent there is no closed form; luxemburg_norm takes
+# Newton steps on the log of the modular until that bracket is narrow, and
+# the defining property holds: the modular of f divided by its norm equals 1.
 norm_var = luxemburg_norm(f, q_var)
 at_norm = modular(f.scaled(1.0 / norm_var), q_var)
 print(f"variable q: norm {norm_var:.12f}, modular at the norm {at_norm:.12f}")

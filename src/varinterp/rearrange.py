@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError
-from .varleb import luxemburg_from_modular
+from .varleb import weighted_power_norm
 
 __all__ = [
     "AtomFunction",
@@ -227,24 +227,14 @@ def lorentz_norm(f, p, q, grid):
     # two scale the norm exactly
     stub_geom = first ** (q_zero / p_zero) * (p_zero / q_zero)
 
-    if len(bounds) > 1:
-        t_nodes, widths = _log_midpoints(bounds, grid.du)
-        levels = profile.value_at(t_nodes)
-        p_vals = np.asarray(p(t_nodes), dtype=float)
-        q_vals = np.asarray(q(t_nodes), dtype=float)
-        base = t_nodes ** (1.0 / p_vals - 1.0 / q_vals) * levels
-        weight = t_nodes * widths
-    else:
-        base = np.zeros(0)
-        q_vals = np.zeros(0)
-        weight = np.zeros(0)
-
-    def rho(lam):
-        with np.errstate(over="ignore"):
-            body = float(np.sum(np.power(base / lam, q_vals) * weight))
-        return body + (level_one / lam) ** q_zero * stub_geom
-
-    return luxemburg_from_modular(rho)
+    t_nodes, widths = _log_midpoints(bounds, grid.du)
+    levels = profile.value_at(t_nodes)
+    p_vals = np.asarray(p(t_nodes), dtype=float)
+    q_vals = np.asarray(q(t_nodes), dtype=float)
+    base = t_nodes ** (1.0 / p_vals - 1.0 / q_vals) * levels
+    return weighted_power_norm(np.append(base, level_one),
+                               np.append(q_vals, q_zero),
+                               np.append(t_nodes * widths, stub_geom))
 
 
 def lorentz_discrete_norm(f, p, q, V):

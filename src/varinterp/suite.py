@@ -619,7 +619,8 @@ _key_estimate_worst = _worst_min(-1e-12)
 
 _CHECKS = (
     # worst relative error of luxemburg_norm against rho^{1/q} from
-    # modular (constant q) or of modular(phi / norm) against 1 (variable q)
+    # modular (constant q: the solver must stop at its first evaluation with
+    # that value) or of modular(phi / norm) against 1 (variable q)
     _Check("luxemburg-closed-form", _luxemburg, _worst_max(limit=1e-6)),
     # worst ratio by which the norm leaves the modular-power sandwich
     _Check("modular-sandwich", _sandwich, _worst_max()),

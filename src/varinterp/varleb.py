@@ -10,11 +10,12 @@ and the norm is the Luxemburg functional
 
     ||phi|| = inf { lam > 0 : rho(phi / lam) <= 1 }.
 
-Where the exponent takes one value q on the grid, rho(phi / lam) =
-rho(phi) / lam^q, so the norm is rho(phi)^{1/q} and is computed directly.
-Otherwise it is solved by bracketing and bisection, with the bracket
-narrowed first. The same solver is reused by other modules through
-luxemburg_from_modular, which accepts any decreasing modular callable.
+Every norm here, and the variable Lorentz norms of rearrange.py, has a
+modular of the form rho(lam) = sum_i w_i (b_i / lam)^{q_i}; one solver,
+weighted_power_norm, finds inf { lam : rho(lam) <= 1 } for all of them. It
+takes Newton steps on log rho against log lam and stops once the modular
+sandwich at its iterate is narrow, which for a constant exponent is at its
+first evaluation, with rho^{1/q}.
 
 The module also provides the discrete two-sided weighted norm
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,7 +44,7 @@ __all__ = [
     "LambdaNormParams",
     "modular",
     "luxemburg_norm",
-    "luxemburg_from_modular",
+    "weighted_power_norm",
     "unit_ball_check",
     "modular_norm_sandwich",
     "lambda_norm",
@@ -182,142 +182,88 @@ def modular(phi, q):
     return total
 
 
-def _narrow_bracket(rho, a, b, rho_a, rho_b, *, steps=8, width=2e-13):
-    """Shrink a bracket rho(a) > 1 >= rho(b) of a decreasing modular.
-
-    Takes secant steps on log rho against log lam through the last two
-    evaluations; they are exact when rho is a power of lam (constant
-    exponent) and converge fast when log rho is convex in log lam (variable
-    exponent). A step outside the bracket becomes a bisection step, and a
-    step shorter than `width` (relative) is lengthened to `width`, so once
-    the secant has found the root the next evaluation lands on its other
-    side. Stops once the bracket is narrower than `width` relative to b.
-    """
-    last = [(a, rho_a), (b, rho_b)]
-    for _ in range(steps):
-        if b - a <= width * b:
-            break
-        (x0, r0), (x1, r1) = last
-        x = math.nan
-        if 0.0 < min(r0, r1) and max(r0, r1) < math.inf and r0 != r1:
-            g0, g1 = math.log(r0), math.log(r1)
-            x = x1 * (x1 / x0) ** (-g1 / (g1 - g0))
-            if abs(x - x1) < width * x1:
-                x = x1 * (1.0 - width) if r1 <= 1.0 else x1 * (1.0 + width)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        r = rho(x)
-        if r <= 1.0:
-            b = x
-        else:
-            a = x
-        last = [(x1, r1), (x, r)]
-    return a, b
-
-
-def luxemburg_from_modular(rho):
-    """Solve inf { lam : rho(lam) <= 1 } for a decreasing modular rho(lam).
-
-    Brackets by doubling or halving from lam = 1, then bisects, at most 60
-    steps. The returned value is the safe (upper) end of the final bracket,
-    with relative width well below 1e-10. Before the bisection,
-    _narrow_bracket finds a much narrower bracket [a, b] around the root in
-    a few evaluations; a decreasing rho already decides every midpoint
-    outside (a, b), so the bisection evaluates rho only inside it. Its path,
-    and so the returned value, is that of the plain bisection whenever the
-    computed rho is monotone.
-    """
-    lam = 1.0
-    value = rho(lam)
-    if math.isnan(value):
-        raise DivergenceError("modular returned an invalid value")
-    if value <= 1.0:
-        lo = None
-        for _ in range(1200):
-            lam *= 0.5
-            if lam < 1e-300:
-                return 0.0
-            prev, value = value, rho(lam)
-            if value > 1.0:
-                lo, hi, rho_lo, rho_hi = lam, lam * 2.0, value, prev
-                break
-        if lo is None:
-            return 0.0
-    else:
-        hi = None
-        for _ in range(1200):
-            lam *= 2.0
-            if lam > 1e300:
-                raise DivergenceError("modular does not drop below 1 at any scale")
-            prev, value = value, rho(lam)
-            if value <= 1.0:
-                lo, hi, rho_lo, rho_hi = lam * 0.5, lam, prev, value
-                break
-        if hi is None:
-            raise DivergenceError("modular does not drop below 1 at any scale")
-    a, b = _narrow_bracket(rho, lo, hi, rho_lo, rho_hi)
-    for _ in range(60):
-        if hi - lo <= 1e-12 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid >= b or (mid > a and rho(mid) <= 1.0):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-# luxemburg_from_modular doubles or halves lam from 1 and gives up past 1e300
-# and below 1e-300, that is beyond the powers of two 2^996 and 2^-996; the
-# closed form keeps the same two ends
+# the norm's two ends: DivergenceError above 2^996, 0.0 at or below 2^-996
 _NORM_MAX = 2.0 ** 996
 _NORM_MIN = 2.0 ** -996
+# where rho lies in [2^-960, 2^960] it is exact up to rounding, and no
+# sum of q_i * term_i overflows
+_RHO_MIN = 2.0 ** -960
+_RHO_MAX = 2.0 ** 960
 
 
-def _constant_exponent_norm(values, q, du):
-    """rho(phi)^{1/q} for a constant exponent q, or None if rho underflows.
+def _modular_terms(c, q, lam):
+    """The terms (c_i / lam)^{q_i} of a modular at lam."""
+    if lam == 1.0:
+        # each term is at most its weight w_i, so none overflows and the
+        # error state (about 2.5 us to enter) is not needed
+        return c ** q
+    with np.errstate(over="ignore"):
+        return (c / lam) ** q
 
-    phi is first scaled by 2^-e, where max phi = m 2^e with 1/2 <= m < 1.
-    That is exact, keeps every power phi_i^q <= 1, and makes the result
-    scale exactly with phi by powers of two. The sum underflows only for q
-    beyond about 1000.
+
+def weighted_power_norm(bases, exponents, weights):
+    """inf { lam > 0 : sum_i w_i (b_i / lam)^{q_i} <= 1 }.
+
+    Bases b_i >= 0, exponents q_i >= 1 and weights w_i > 0; exponents and
+    weights may be scalars. The bases are scaled by 2^-e, where
+    max b = m 2^e with 1/2 <= m < 1, so the result scales exactly with b by
+    powers of two, and each weight goes into its base as w_i^{1/q_i}, so a
+    term overflows or underflows only where its value does.
+
+    At every lam the modular sandwich puts the norm between lam rho^{1/q+}
+    and lam rho^{1/q-}. Newton steps on the convex, decreasing
+    g(s) = log rho(e^s) from lam = 1 multiply lam by rho^{1/qbar}, with
+    qbar = sum q_i term_i / rho in [q-, q+], so they stay inside it. The
+    solver stops once the sandwich is narrower than 1e-12 relative and
+    returns its upper end; for a constant exponent that is rho(1)^{1/q}.
+    Where rho leaves [2^-960, 2^960], lam moves to the sandwich's q+ end at
+    that limit, which lies between lam and the norm.
+
+    Raises DivergenceError for a norm above 2^996, or after 100 steps
+    without convergence; returns 0.0 for a norm at or below 2^-996.
     """
-    e = math.frexp(float(values.max()))[1]
-    total = float((np.ldexp(values, -e) ** q).sum() * du)
-    if not total >= sys.float_info.min:
-        return None
-    try:
-        norm = math.ldexp(total ** (1.0 / q), e)
-    except OverflowError:
-        norm = math.inf
-    if norm > _NORM_MAX:
-        raise DivergenceError("Luxemburg norm exceeds 1e300")
-    return norm if norm > _NORM_MIN else 0.0
+    b = np.asarray(bases, dtype=float)
+    top = float(b.max()) if b.size else 0.0
+    if not top > 0.0:
+        return 0.0
+    q = np.asarray(exponents, dtype=float)
+    q_minus, q_plus = float(q.min()), float(q.max())
+    if q_minus == q_plus:
+        # a scalar exponent takes numpy's fast paths, such as x * x for q = 2
+        q = q_minus
+    e = math.frexp(top)[1]
+    c = np.ldexp(b, -e) * weights ** (1.0 / q)
+    lam = 1.0
+    for _ in range(100):
+        terms = _modular_terms(c, q, lam)
+        rho = float(terms.sum())
+        if not _RHO_MIN <= rho <= _RHO_MAX:
+            lam *= min(max(rho, _RHO_MIN), _RHO_MAX) ** (1.0 / q_plus)
+            continue
+        lo, hi = sorted((lam * rho ** (1.0 / q_plus),
+                         lam * rho ** (1.0 / q_minus)))
+        if hi - lo <= 1e-12 * lo:
+            try:
+                norm = math.ldexp(hi, e)
+            except OverflowError:
+                norm = math.inf
+            if norm > _NORM_MAX:
+                raise DivergenceError("Luxemburg norm exceeds 1e300")
+            return norm if norm > _NORM_MIN else 0.0
+        lam *= rho ** (rho / float((q * terms).sum()))
+    raise DivergenceError("Luxemburg solver did not converge")
 
 
 def luxemburg_norm(phi, q):
     """Luxemburg norm of a sampled function for exponent q.
 
-    If q takes a single value on the grid the norm is rho(phi)^{1/q},
-    computed in closed form; otherwise luxemburg_from_modular solves for
-    it. Both raise DivergenceError for a norm above about 1e300 and return
-    0.0 for one below about 1e-300.
+    The modular at scale lam is sum du (phi_i / lam)^{q_i}, so this is
+    weighted_power_norm of the samples, the exponent on the grid and du. It
+    raises DivergenceError for a norm above about 1e300 and returns 0.0 for
+    one below about 1e-300.
     """
-    values = phi.values
-    if not (values > 0.0).any():
-        return 0.0
-    q_values = _exponent_values(q, phi.grid)
-    du = phi.grid.du
-    if (q_values == q_values[0]).all():
-        norm = _constant_exponent_norm(values, float(q_values[0]), du)
-        if norm is not None:
-            return norm
-
-    def rho(lam):
-        return float(((values / lam) ** q_values).sum() * du)
-
-    with np.errstate(over="ignore"):
-        return luxemburg_from_modular(rho)
+    return weighted_power_norm(phi.values, _exponent_values(q, phi.grid),
+                               phi.grid.du)
 
 
 @dataclass(frozen=True)
@@ -348,15 +294,22 @@ class SandwichReport:
 
 
 def modular_norm_sandwich(phi, q):
-    """Check min/max of rho^{1/q-}, rho^{1/q+} bracket the norm."""
+    """Check min/max of rho^{1/q-}, rho^{1/q+} bracket the norm.
+
+    The bounds are those of phi 2^-e, where max phi = m 2^e with
+    1/2 <= m < 1, scaled back by 2^e, so that they hold where the modular
+    of phi itself underflows or overflows.
+    """
     rho = modular(phi, q)
     norm = luxemburg_norm(phi, q)
     q_minus, q_plus = essential_bounds(q, phi.grid)
-    if rho == 0.0:
+    e = math.frexp(float(phi.values.max()))[1]
+    scaled = modular(SampledFunction(phi.grid, np.ldexp(phi.values, -e)), q)
+    if scaled == 0.0:
         lower = upper = 0.0
     else:
-        a = rho ** (1.0 / q_minus)
-        b = rho ** (1.0 / q_plus)
+        a = math.ldexp(scaled ** (1.0 / q_minus), e)
+        b = math.ldexp(scaled ** (1.0 / q_plus), e)
         lower, upper = min(a, b), max(a, b)
     slack = 1e-6
     passed = lower <= norm * (1.0 + slack) and norm <= upper * (1.0 + slack) + 1e-300

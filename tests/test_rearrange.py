@@ -125,6 +125,24 @@ def test_lorentz_norm_power_of_two_scaling_exact():
     assert lorentz_norm(f.scaled(0.25), const(2.0), q, GRID) == 0.25 * base
 
 
+def test_lorentz_norm_ends():
+    # like luxemburg_norm: 0.0 for a norm below 1e-300, DivergenceError for
+    # one above 1e300, without a numpy warning
+    f = AtomFunction([3.0, 1.0, 2.0], [0.5, 1.0, 0.25])
+    q_var = ExponentFunction.from_expression("2 + 0.5*min(t, 1/t)",
+                                             p_at_zero=2.0, p_at_infinity=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (const(2.0), q_var):
+            assert 0.0 < lorentz_norm(f.scaled(1e-290), const(2.0), q, GRID) < 1e-289
+            assert lorentz_norm(f.scaled(1e-301), const(2.0), q, GRID) == 0.0
+            assert lorentz_norm(AtomFunction([1e-320], [1.0]), const(2.0), q,
+                                GRID) == 0.0
+            assert lorentz_norm(f.scaled(1e290), const(2.0), q, GRID) > 1e290
+            with pytest.raises(DivergenceError):
+                lorentz_norm(f.scaled(1e301), const(2.0), q, GRID)
+
+
 def test_log_midpoints_match_a_linspace_per_cell():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -19,7 +19,8 @@ from varinterp import (
     modular_norm_sandwich,
     unit_ball_check,
 )
-from varinterp.varleb import luxemburg_from_modular
+from varinterp import varleb
+from varinterp.varleb import weighted_power_norm
 
 
 GRID = HaarGrid(16, 32)
@@ -102,7 +103,8 @@ def test_luxemburg_zero_function():
 
 def test_luxemburg_power_of_two_scaling_exact():
     phi = bump(GRID)
-    # a variable exponent takes the solver, a constant one the closed form
+    # a variable exponent takes Newton steps, a constant one stops at the
+    # first evaluation
     for q in (ExponentFunction.from_expression("2 + 1/log(e + 1/t)",
                                                p_at_zero=2.0, p_at_infinity=3.0),
               ExponentFunction.constant(2.7)):
@@ -112,29 +114,31 @@ def test_luxemburg_power_of_two_scaling_exact():
 
 
 def test_luxemburg_constant_exponent_ends():
-    # the closed form keeps the solver's ends: 0.0 for a norm below 1e-300,
-    # DivergenceError for one above 1e300
+    # 0.0 for a norm below 1e-300, DivergenceError for one above 1e300, with
+    # a constant and a variable exponent
     phi = bump(GRID)
-    q = ExponentFunction.constant(2.7)
-    assert 0.0 < luxemburg_norm(phi.scaled(1e-290), q) < 1e-289
-    assert luxemburg_norm(phi.scaled(1e-301), q) == 0.0
-    assert luxemburg_norm(phi.scaled(1e-320), q) == 0.0
-    assert luxemburg_norm(phi.scaled(1e290), q) > 1e290
-    with pytest.raises(DivergenceError):
-        luxemburg_norm(phi.scaled(1e301), q)
+    for q in (ExponentFunction.constant(2.7),
+              ExponentFunction.from_expression("2 + 1/log(e + 1/t)",
+                                               p_at_zero=2.0, p_at_infinity=3.0)):
+        assert 0.0 < luxemburg_norm(phi.scaled(1e-290), q) < 1e-289
+        assert luxemburg_norm(phi.scaled(1e-301), q) == 0.0
+        assert luxemburg_norm(phi.scaled(1e-320), q) == 0.0
+        assert luxemburg_norm(phi.scaled(1e290), q) > 1e290
+        with pytest.raises(DivergenceError):
+            luxemburg_norm(phi.scaled(1e301), q)
 
 
 def test_luxemburg_solver_independent_of_modular_shape():
-    # the solver sees only the map lam -> rho(lam); a hand-rolled power law
+    # the solver sees only bases, exponents and weights; a single term
     # rho(lam) = (c/lam)^q must return exactly c up to bracket width
     for c, q in ((3.0, 2.0), (0.01, 1.0), (250.0, 5.0)):
-        got = luxemburg_from_modular(lambda lam, c=c, q=q: (c / lam) ** q)
+        got = weighted_power_norm(np.array([c]), np.array([q]), np.array([1.0]))
         assert got == pytest.approx(c, rel=1e-11)
 
 
 def plain_bisection(rho):
-    # the solver without its bracket narrowing: double or halve from 1,
-    # then bisect to relative width 1e-12 and return the upper end
+    # double or halve from 1, then bisect to relative width 1e-12 and return
+    # the upper end
     lam = 1.0
     if rho(lam) <= 1.0:
         while rho(lam * 0.5) <= 1.0:
@@ -153,7 +157,15 @@ def plain_bisection(rho):
     return hi
 
 
-def test_luxemburg_solver_matches_plain_bisection_in_few_evaluations():
+def test_luxemburg_solver_matches_plain_bisection_in_few_evaluations(monkeypatch):
+    evaluations = []
+    terms = varleb._modular_terms
+
+    def counted(c, q, lam):
+        evaluations.append(lam)
+        return terms(c, q, lam)
+
+    monkeypatch.setattr(varleb, "_modular_terms", counted)
     rng = np.random.default_rng(7)
     q_var = ExponentFunction.from_expression("1.5 + 1/log(e + 1/t)",
                                              p_at_zero=1.5, p_at_infinity=2.5)
@@ -163,29 +175,24 @@ def test_luxemburg_solver_matches_plain_bisection_in_few_evaluations():
         q = ExponentFunction.constant(1.0 + 3.0 * rng.uniform()) \
             if trial % 2 else q_var
         q_values = np.asarray(q(GRID.nodes), dtype=float)
-        calls = []
 
         def rho(lam):
-            calls.append(lam)
             return float(((values / lam) ** q_values).sum() * GRID.du)
 
-        got = luxemburg_from_modular(rho)
-        evaluations = len(calls)
-        assert got == plain_bisection(rho)
-        norm = luxemburg_norm(SampledFunction(GRID, values), q)
+        evaluations.clear()
+        got = weighted_power_norm(values, q_values, GRID.du)
         if q.is_constant:
-            # luxemburg_norm takes the closed form, exact up to rounding; the
-            # solver stops within its bracket width
-            assert norm == pytest.approx(got, rel=1e-12)
+            # the sandwich rho^{1/q-}, rho^{1/q+} is a point at once
+            assert len(evaluations) == 1
         else:
-            assert norm == got
-        # doubling from 1 to the root costs about log2(root) evaluations
-        assert evaluations <= abs(math.log2(got)) + 15
+            assert 1 <= len(evaluations) <= 8
+        assert got == pytest.approx(plain_bisection(rho), rel=1e-12)
+        assert luxemburg_norm(SampledFunction(GRID, values), q) == got
 
 
 def test_luxemburg_constant_exponent_past_underflow():
-    # with q = 2000 every scaled power phi_i^q underflows, so the solver
-    # takes over from the closed form: ||h 1_E|| = h * |E|^{1/q}
+    # with q = 2000 every scaled power phi_i^q underflows at lam = 1, so the
+    # solver first steps lam down: ||h 1_E|| = h * |E|^{1/q}
     phi = bump(GRID)
     length = GRID.du * np.count_nonzero(phi.values)
     got = luxemburg_norm(phi, ExponentFunction.constant(2000.0))
@@ -193,9 +200,9 @@ def test_luxemburg_constant_exponent_past_underflow():
 
 
 def reference_norm(values, q, du):
-    """The constant-exponent Luxemburg norm by plain bisection on the raw
-    modular, with the solver's ends: 0.0 once lam falls below 1e-300 and
-    None (divergence) once it passes 1e300."""
+    """The Luxemburg norm for a scalar or array exponent q by plain
+    bisection on the raw modular, with the solver's ends: 0.0 once lam falls
+    below 1e-300 and None (divergence) once it passes 1e300."""
     def rho(lam):
         with np.errstate(over="ignore"):
             return float(((values / lam) ** q).sum()) * du
@@ -252,11 +259,46 @@ def test_constant_exponent_closed_form_matches_bisection(values, qv, zeros):
         assert luxemburg_norm(phi, q) == pytest.approx(want, rel=1e-12)
 
 
-def test_divergent_modular_raises():
-    with pytest.raises(DivergenceError):
-        luxemburg_from_modular(lambda lam: math.inf)
-    with pytest.raises(DivergenceError):
-        luxemburg_from_modular(lambda lam: math.nan)
+def _min_max_exponent(a, c, shape):
+    # a + c * min(t, 1/t), like 2 + 0.5*min(t, 1/t), or max(a, c * min(t, 1/t));
+    # both tend to a at 0 and at infinity
+    source = shape.format(a=f"{a:.6f}", c=f"{c:.6f}")
+    return ExponentFunction.from_expression(source, p_at_zero=a, p_at_infinity=a)
+
+
+# variable exponents on SMALL (t in [1/4, 4]): piecewise tables with cell
+# values in [1, 50], so contrast q+/q- up to 50, and min/max expressions
+_variable_exponents = st.one_of(
+    st.lists(st.floats(min_value=1.0, max_value=50.0), min_size=2,
+             max_size=5).flatmap(
+        lambda values: st.lists(
+            st.floats(min_value=0.3, max_value=3.5), min_size=len(values) - 1,
+            max_size=len(values) - 1, unique=True).map(
+            lambda cuts: ExponentFunction.piecewise(np.sort(cuts), values))),
+    st.builds(_min_max_exponent, st.floats(min_value=1.0, max_value=50.0),
+              st.floats(min_value=0.0, max_value=50.0),
+              st.sampled_from(["{a} + {c}*min(t, 1/t)",
+                               "max({a}, {c}*min(t, 1/t))"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_magnitudes, min_size=SMALL.node_count,
+                max_size=SMALL.node_count),
+       _variable_exponents,
+       st.integers(min_value=0, max_value=SMALL.node_count),
+       st.integers(min_value=0, max_value=SMALL.node_count))
+def test_variable_exponent_norm_matches_bisection(values, q, start, stop):
+    # a block of zeros at a random place, magnitudes from subnormal to 1e300
+    # elsewhere
+    values = np.array(values)
+    values[start:stop] = 0.0
+    phi = SampledFunction(SMALL, values)
+    want = reference_norm(values, q(SMALL.nodes), SMALL.du)
+    if want is None:
+        with pytest.raises(DivergenceError):
+            luxemburg_norm(phi, q)
+    else:
+        assert luxemburg_norm(phi, q) == pytest.approx(want, rel=1e-12)
 
 
 def test_modular_norm_sandwich_brackets():
@@ -266,6 +308,20 @@ def test_modular_norm_sandwich_brackets():
     rep = modular_norm_sandwich(phi, q)
     assert rep.passed
     assert rep.lower <= rep.norm <= rep.upper
+
+
+def test_modular_norm_sandwich_past_float_range():
+    # on 10 nodes, the raw modular of 1e-200 underflows to 0 and that of
+    # 1e200 overflows; the bounds still bracket the norm
+    q = ExponentFunction.constant(2.0)
+    for height in (1e-200, 1e200):
+        values = np.zeros(SMALL.node_count)
+        values[:10] = height
+        rep = modular_norm_sandwich(SampledFunction(SMALL, values), q)
+        assert rep.passed
+        for value in (rep.norm, rep.lower, rep.upper):
+            assert value == pytest.approx(height * math.sqrt(10 * SMALL.du),
+                                          rel=1e-12)
 
 
 def test_unit_ball_consistency():
