@@ -12,13 +12,17 @@ JSON by its ``kind``:
   of the decreasing rearrangement over (0, t) (Holmstedt); the optimal
   decomposition is truncation at height f*(t).
 * `GenericCouple` (``finite_generic``): two arbitrary norms on R^n (n
-  small), given as `NormSpec`s or callables. No closed form; K is
-  computed by the brute-force minimizer below, which is also the
-  independent oracle for the closed forms of the other two classes.
+  small), given as `NormSpec`s or callables that map a (B, n) array to the
+  B norms of its rows. No closed form; K is computed by the brute-force
+  minimizer below, which is also the independent oracle for the closed
+  forms of the other two classes.
 
 Every norm here is absolute and monotone (|g| <= |h| coordinatewise implies
 norm(g) <= norm(h)), which confines optimal decompositions to the box
-between 0 and f and makes coordinate descent with line searches sound.
+between 0 and f and makes coordinate descent with line searches sound. The
+brute-force minimizer runs all its starts in lockstep: each round of a line
+search evaluates 17 points per start in one call of the couple's batch
+norms, and every row evaluated counts against its evaluation cap.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ __all__ = [
 class NormSpec:
     """Weighted p-norm on R^n: (sum (w_k |x_k|)^p)^{1/p}, max at p = inf.
 
-    Calling a NormSpec on a vector returns its norm.
+    Calling a NormSpec on a (B, n) array returns the B norms of its rows.
     """
 
     p: float
@@ -77,8 +81,8 @@ class NormSpec:
     def __call__(self, x):
         wx = self.weights * np.abs(np.asarray(x, dtype=float))
         if math.isinf(self.p):
-            return float(np.max(wx)) if len(wx) else 0.0
-        return float(np.sum(wx ** self.p) ** (1.0 / self.p))
+            return wx.max(axis=-1, initial=0.0)
+        return (wx ** self.p).sum(axis=-1) ** (1.0 / self.p)
 
     def to_json_dict(self):
         return {"p": "inf" if math.isinf(self.p) else self.p,
@@ -98,10 +102,12 @@ class Couple:
     array of positive t; decompose(t, f), a near-optimal split
     f = f0 + f1 realizing K(t, f); reversed(), the couple (A1, A0);
     difference(a, b) and total(terms) of elements; and to_json, tagged by
-    the class attribute kind. The other class attributes say what a caller
-    may rely on: is_vector_couple (elements are vectors in R^n), dimension
-    (n, for a weighted sequence couple) and ordered (norm0 <= norm1 on
-    every element).
+    the class attribute kind. A vector couple also has norm0_many(G) and
+    norm1_many(G), the norms of the rows of a (B, n) array, each equal to
+    the scalar norm of that row. The other class attributes say what a
+    caller may rely on: is_vector_couple (elements are vectors in R^n),
+    dimension (n, for a weighted sequence couple) and ordered
+    (norm0 <= norm1 on every element).
     """
 
     is_vector_couple = True
@@ -129,6 +135,10 @@ class Couple:
     def operator_norms(self, matrix):
         """The exact norms of a matrix on A0 and on A1."""
         raise ConfigError("exact operator norms are implemented for weighted_seq")
+
+    def k_weights(self, ts):
+        """The (m, n) matrix C with K(t_j, f) = sum_k C_jk |f_k|."""
+        raise ConfigError("K is linear in |f| only for weighted_seq")
 
     def _json_fields(self):
         return {}
@@ -167,16 +177,24 @@ class WeightedSeqCouple(Couple):
         self.ordered = bool(np.all(w0 <= w1))
 
     def norm0(self, f):
-        # ndarray.sum is np.sum without its Python-level dispatch; the
-        # brute-force K calls this in its innermost loop
-        return float((self.w0 * np.abs(np.asarray(f, dtype=float))).sum())
+        return float(self.norm0_many(np.asarray(f, dtype=float)))
 
     def norm1(self, f):
-        return float((self.w1 * np.abs(np.asarray(f, dtype=float))).sum())
+        return float(self.norm1_many(np.asarray(f, dtype=float)))
+
+    def norm0_many(self, G):
+        # ndarray.sum is np.sum without its Python-level dispatch; a row sum
+        # along the last, contiguous axis equals the sum of that row alone
+        return (self.w0 * np.abs(G)).sum(axis=-1)
+
+    def norm1_many(self, G):
+        return (self.w1 * np.abs(G)).sum(axis=-1)
+
+    def k_weights(self, ts):
+        return np.minimum(self.w0[None, :], ts[:, None] * self.w1[None, :])
 
     def k_many(self, ts, f):
-        cost = np.minimum(self.w0[None, :], ts[:, None] * self.w1[None, :])
-        return cost @ np.abs(np.asarray(f, dtype=float))
+        return self.k_weights(ts) @ np.abs(np.asarray(f, dtype=float))
 
     def decompose(self, t, f):
         """Ties send the coordinate to the t-side, the smallest-f0 choice."""
@@ -254,7 +272,9 @@ class L1LinfCouple(Couple):
 class GenericCouple(Couple):
     """Two norms on R^n, each a NormSpec or a callable; K by brute force.
 
-    A brute-force K that hits its evaluation cap raises CapacityError.
+    Each norm maps a (B, n) array to the (B,) array of the norms of its
+    rows; norm0(f) and norm1(f) are the case B = 1. A brute-force K that
+    hits its evaluation cap raises CapacityError.
     """
 
     kind = "finite_generic"
@@ -268,10 +288,16 @@ class GenericCouple(Couple):
         self.norms = (norm0, norm1)
 
     def norm0(self, f):
-        return float(self.norms[0](np.asarray(f, dtype=float)))
+        return float(self.norm0_many(np.asarray(f, dtype=float)[None, :])[0])
 
     def norm1(self, f):
-        return float(self.norms[1](np.asarray(f, dtype=float)))
+        return float(self.norm1_many(np.asarray(f, dtype=float)[None, :])[0])
+
+    def norm0_many(self, G):
+        return self.norms[0](G)
+
+    def norm1_many(self, G):
+        return self.norms[1](G)
 
     def _brute_force(self, t, f, extra_starts=()):
         result = k_brute_force(self, t, f, extra_starts=extra_starts,
@@ -383,86 +409,48 @@ class BruteForceResult:
     cap_hit: bool
 
 
-def _brent_bounded(func, a, b, xatol):
-    """Minimize func on [a, b] by Brent's bounded method; returns (x, f(x)).
+# points per round of the bracket scan: 16 intervals, so that the two
+# neighbours of the best point span 1/8 of the bracket
+_SCAN = np.arange(17) / 16.0
 
-    Golden-section steps mixed with parabolic interpolation, at most 500
-    evaluations. The float operations and their order are those of SciPy's
-    minimize_scalar(method="bounded"), so the result matches it bit for bit.
+
+def _bracket_scan(line, rows, a, b, xatol):
+    """Minimize rows convex functions on [a, b] together; (x, value) arrays.
+
+    line maps an (rows, 17) array of points to their values, row by row.
+    Each round evaluates 17 evenly spaced points of every row's bracket in
+    that one call; the next bracket is the two neighbours of the best
+    point, 1/8 as wide. On a convex function the minimizer stays in the
+    bracket, so once the spacing is at most xatol the best point is within
+    xatol of it. The number of rounds depends only on b - a and xatol.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
+    start = np.full(rows, float(a))
+    width = float(b) - float(a)
+    pick = np.arange(rows)
+    while True:
+        xs = start[:, None] + width * _SCAN
+        values = line(xs)
+        best = values.argmin(axis=1)
+        if width / 16.0 <= xatol:
+            return xs[pick, best], values[pick, best]
+        start = xs[pick, np.clip(best, 1, 15) - 1]
+        width /= 8.0
 
 
 def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
                   extra_starts=(), rng=None, return_details=False):
     """Direct minimization of g -> norm0(g) + t norm1(f - g) over R^n.
 
-    Multistart coordinate descent; each coordinate update is a bounded
-    Brent search over the box [0 ^ f] (optimal for absolute monotone
-    norms), padded slightly. Convexity makes each line search exact up to
-    tolerance, while the restarts guard against stalling on kinks of
-    nonsmooth norms. Stops a start when a full sweep improves by less than
-    resolution (relatively); the budget of 100,000 evaluations is shared
-    across starts and a breach is reported as cap_hit, not hidden.
+    Multistart coordinate descent over the box [0 ^ f] (optimal for
+    absolute monotone norms), padded slightly. The starts run in lockstep:
+    each coordinate update is a bracket scan (see _bracket_scan) of every
+    active start at once, in calls of the couple's batch norms. Convexity
+    makes each line search exact up to tolerance, while the restarts guard
+    against stalling on kinks of nonsmooth norms. A start stops after two
+    sweeps in a row that improve it by at most resolution (relatively), or
+    after 80 sweeps; the budget of 100,000 evaluations counts every row
+    evaluated, is shared by the starts, and a breach is reported as
+    cap_hit, not hidden.
     """
     _require_positive(t)
     if not couple.is_vector_couple:
@@ -473,13 +461,6 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
         raise CapacityError(f"brute-force K supports dimension <= 6, got {n}")
     if rng is None:
         rng = np.random.default_rng(0)
-
-    evals = 0
-
-    def objective(g):
-        nonlocal evals
-        evals += 1
-        return couple.norm0(g) + t * couple.norm1(f - g)
 
     if not np.any(f != 0.0):
         result = BruteForceResult(0.0, np.zeros(n), 1, False)
@@ -492,44 +473,48 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     xatol = max(resolution * scale * 1e-1, 1e-14)
 
     starts = [f.copy(), np.zeros(n), 0.5 * f]
-    starts.extend(np.asarray(s, dtype=float).copy() for s in extra_starts)
+    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
     for _ in range(n_random_starts):
         starts.append(rng.uniform(lo, hi))
+    g = np.clip(np.array(starts), lo, hi)
 
-    best_value = math.inf
-    best_g = np.zeros(n)
+    evals = 0
+
+    def objective(G):
+        nonlocal evals
+        evals += len(G)
+        return couple.norm0_many(G) + t * couple.norm1_many(f - G)
+
+    value = objective(g)
+    active = np.arange(len(g))
+    stalls = np.zeros(len(g), dtype=int)
     cap_hit = False
-    for start in starts:
-        g = np.clip(start, lo, hi)
-        value = objective(g)
-        stalls = 0
-        for _sweep in range(80):
-            if evals > 100_000:
-                cap_hit = True
-                break
-            prev = value
-            for k in range(n):
-                def line(x, k=k):
-                    g_try = g.copy()
-                    g_try[k] = x
-                    return objective(g_try)
-                x, fx = _brent_bounded(line, float(lo[k]), float(hi[k]), xatol)
-                if fx <= value:
-                    g[k] = x
-                    value = fx
-            if prev - value <= resolution * max(abs(value), 1e-300):
-                stalls += 1
-                if stalls >= 2:
-                    break
-            else:
-                stalls = 0
-        if value < best_value:
-            best_value = value
-            best_g = g.copy()
-        if cap_hit:
+    for _sweep in range(80):
+        if evals > 100_000:
+            cap_hit = True
+            break
+        prev = value[active]
+        for k in range(n):
+            rows = g[active]
+
+            def line(xs, rows=rows, k=k):
+                trial = np.repeat(rows, xs.shape[1], axis=0)
+                trial[:, k] = xs.ravel()
+                return objective(trial).reshape(xs.shape)
+
+            x, fx = _bracket_scan(line, len(rows), lo[k], hi[k], xatol)
+            better = fx <= value[active]
+            g[active[better], k] = x[better]
+            value[active[better]] = fx[better]
+        now = value[active]
+        stalled = prev - now <= resolution * np.maximum(np.abs(now), 1e-300)
+        stalls[active] = np.where(stalled, stalls[active] + 1, 0)
+        active = active[stalls[active] < 2]
+        if not len(active):
             break
 
-    result = BruteForceResult(best_value, best_g, evals, cap_hit)
+    best = int(np.argmin(value))
+    result = BruteForceResult(float(value[best]), g[best].copy(), evals, cap_hit)
     return result if return_details else result.value
 
 

@@ -39,8 +39,10 @@ from .varleb import (
     LambdaNormParams,
     SampledFunction,
     TwoSidedSequence,
+    _exponent_values,
     lambda_norm,
     luxemburg_norm,
+    weighted_power_norm,
 )
 
 __all__ = [
@@ -485,6 +487,9 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
     norms are the continuous K-method norms on an inner grid, evaluates the
     outer discrete norm of f in (X_0, X_1)_{eta, q} by brute-force K, and
     compares with the direct norm at theta = (1-eta) theta0 + eta theta1.
+    The couple must be a weighted sequence couple: K is linear in |g|
+    there, so a derived norm of a batch of g is one matrix product and one
+    batched Luxemburg solve.
     The outer exponent q is treated as a free input; no relation between q
     and (q0, q1) is enforced. The equivalence constant should be stable
     when the inner grid is refined. A brute-force K that hits its
@@ -508,13 +513,17 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
     theta = (1.0 - eta) * theta0 + eta * theta1
 
     def outer_norm_on(grid_in):
-        def make_norm(theta_i, q_i):
-            params = KMethodParams(theta_i, q_i, grid_in)
+        ts = grid_in.nodes
+        cost = couple.k_weights(ts)
 
-            def nrm(g):
-                if not g.any():
-                    return 0.0
-                return k_norm_continuous(couple, g, params)
+        def make_norm(theta_i, q_i):
+            # t_j^{-theta} K(t_j, g) for every row g of G is |G| @ kernel
+            kernel = (cost * ts[:, None] ** -theta_i).T
+            q_values = _exponent_values(q_i, grid_in)
+
+            def nrm(G):
+                return weighted_power_norm(np.abs(G) @ kernel, q_values,
+                                           grid_in.du)
             return nrm
 
         derived = Couple.finite_generic(make_norm(theta0, q0), make_norm(theta1, q1))
@@ -534,8 +543,10 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
                            LambdaNormParams(eta, q.p_at_zero, q.p_at_infinity))
         return norm, cap_hit
 
-    base = k_norm_continuous(couple, f, KMethodParams(theta, q, base_grid))
+    # the outer norm first: it raises ConfigError for a couple without
+    # k_weights before the base norm is spent on it
     outer, cap_hit = outer_norm_on(inner_grid)
+    base = k_norm_continuous(couple, f, KMethodParams(theta, q, base_grid))
     ratio = outer / base if base > 0 else 1.0
     constant = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
 

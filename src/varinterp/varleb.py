@@ -15,7 +15,10 @@ modular of the form rho(lam) = sum_i w_i (b_i / lam)^{q_i}; one solver,
 weighted_power_norm, finds inf { lam : rho(lam) <= 1 } for all of them. It
 takes Newton steps on log rho against log lam and stops once the modular
 sandwich at its iterate is narrow, which for a constant exponent is at its
-first evaluation, with rho^{1/q}.
+first evaluation, with rho^{1/q}. It also takes a (B, m) array of bases
+and solves the B rows together, each row stopping on its own; a row's
+norm is the same, bit for bit, as when it is solved alone, so a 1-D call
+is the case B = 1.
 
 The module also provides the discrete two-sided weighted norm
 
@@ -192,8 +195,9 @@ _RHO_MAX = 2.0 ** 960
 
 
 def _modular_terms(c, q, lam):
-    """The terms (c_i / lam)^{q_i} of a modular at lam."""
-    if lam == 1.0:
+    """The terms (c_i / lam)^{q_i} of a modular, one row per row of c; lam
+    is a column of scales, or the scalar 1.0 at the solver's first step."""
+    if np.isscalar(lam):
         # each term is at most its weight w_i, so none overflows and the
         # error state (about 2.5 us to enter) is not needed
         return c ** q
@@ -201,56 +205,111 @@ def _modular_terms(c, q, lam):
         return (c / lam) ** q
 
 
+def _log_step(c, q, lam):
+    """Newton steps on g(s) = log rho(e^s) at lam, for rows whose modular
+    leaves the float range: log rho by log-sum-exp of q_i log(c_i / lam)."""
+    with np.errstate(divide="ignore"):
+        z = q * np.log(c / lam[:, None])
+    top = z.max(axis=1)
+    ez = np.exp(z - top[:, None])
+    total = ez.sum(axis=1)
+    qbar = (q * ez).sum(axis=1) / total
+    return lam * np.exp((top + np.log(total)) / qbar)
+
+
 def weighted_power_norm(bases, exponents, weights):
     """inf { lam > 0 : sum_i w_i (b_i / lam)^{q_i} <= 1 }.
 
     Bases b_i >= 0, exponents q_i >= 1 and weights w_i > 0; exponents and
-    weights may be scalars. The bases are scaled by 2^-e, where
-    max b = m 2^e with 1/2 <= m < 1, so the result scales exactly with b by
-    powers of two, and each weight goes into its base as w_i^{1/q_i}, so a
-    term overflows or underflows only where its value does.
+    weights may be scalars. Bases of shape (m,) give a float; bases of
+    shape (B, m) give the B norms of the rows, which share the exponents and
+    weights and each equal the norm of that row alone, bit for bit. Each
+    row is scaled by 2^-e, where its max b = m 2^e with 1/2 <= m < 1, so the
+    result scales exactly with b by powers of two, and each weight goes
+    into its base as w_i^{1/q_i}, so a term overflows or underflows only
+    where its value does.
 
     At every lam the modular sandwich puts the norm between lam rho^{1/q+}
     and lam rho^{1/q-}. Newton steps on the convex, decreasing
     g(s) = log rho(e^s) from lam = 1 multiply lam by rho^{1/qbar}, with
-    qbar = sum q_i term_i / rho in [q-, q+], so they stay inside it. The
-    solver stops once the sandwich is narrower than 1e-12 relative and
-    returns its upper end; for a constant exponent that is rho(1)^{1/q}.
-    Where rho leaves [2^-960, 2^960], lam moves to the sandwich's q+ end at
-    that limit, which lies between lam and the norm.
+    qbar = sum q_i term_i / rho in [q-, q+], so they stay inside it. A row
+    stops once its sandwich is narrower than 1e-12 relative and returns
+    its upper end; for a constant exponent that is rho(1)^{1/q}. Where rho
+    leaves [2^-960, 2^960] the step takes log rho by log-sum-exp, so it is
+    a Newton step there too.
 
     Raises DivergenceError for a norm above 2^996, or after 100 steps
     without convergence; returns 0.0 for a norm at or below 2^-996.
     """
     b = np.asarray(bases, dtype=float)
-    top = float(b.max()) if b.size else 0.0
-    if not top > 0.0:
-        return 0.0
+    rows = b.reshape(1, -1) if b.ndim < 2 else b
+    norms = [0.0] * len(rows)
+    tops = rows.max(axis=1).tolist() if rows.shape[1] else norms
+    live = [i for i, top in enumerate(tops) if top > 0.0]
+    if live:
+        solved = _solve(rows if len(live) == len(rows) else rows[live],
+                        [tops[i] for i in live], exponents, weights)
+        for i, norm in zip(live, solved):
+            norms[i] = norm
+    return norms[0] if b.ndim < 2 else np.array(norms)
+
+
+def _solve(b, tops, exponents, weights):
+    """weighted_power_norm of the rows of b, whose maxima tops are > 0.
+
+    The arrays hold the rows; the per-row steps run on Python floats, whose
+    pow is the C library's (numpy's vectorized power differs from it in the
+    last bit for a few percent of arguments), so a row's result does not
+    depend on the rows that share the call."""
     q = np.asarray(exponents, dtype=float)
     q_minus, q_plus = float(q.min()), float(q.max())
     if q_minus == q_plus:
         # a scalar exponent takes numpy's fast paths, such as x * x for q = 2
         q = q_minus
-    e = math.frexp(top)[1]
-    c = np.ldexp(b, -e) * weights ** (1.0 / q)
-    lam = 1.0
-    for _ in range(100):
-        terms = _modular_terms(c, q, lam)
-        rho = float(terms.sum())
-        if not _RHO_MIN <= rho <= _RHO_MAX:
-            lam *= min(max(rho, _RHO_MIN), _RHO_MAX) ** (1.0 / q_plus)
-            continue
-        lo, hi = sorted((lam * rho ** (1.0 / q_plus),
-                         lam * rho ** (1.0 / q_minus)))
-        if hi - lo <= 1e-12 * lo:
+    up, down = 1.0 / q_plus, 1.0 / q_minus
+    e = [math.frexp(top)[1] for top in tops]
+    c = np.ldexp(b, np.array([[-x] for x in e])) * weights ** (1.0 / q)
+    norms = [0.0] * len(c)
+    rows = list(range(len(c)))
+    lam = [1.0] * len(c)
+    for step in range(100):
+        terms = _modular_terms(c, q, 1.0 if step == 0 else np.array(lam)[:, None])
+        rho = terms.sum(axis=1).tolist()
+        newton, out = [], []
+        for j, (r, l) in enumerate(zip(rho, lam)):
+            if not _RHO_MIN <= r <= _RHO_MAX:
+                out.append(j)
+                continue
+            lo = l * r ** up
+            hi = lo if up == down else l * r ** down
+            if hi < lo:
+                lo, hi = hi, lo
+            if hi - lo > 1e-12 * lo:
+                newton.append(j)
+                continue
             try:
-                norm = math.ldexp(hi, e)
+                norm = math.ldexp(hi, e[rows[j]])
             except OverflowError:
                 norm = math.inf
             if norm > _NORM_MAX:
                 raise DivergenceError("Luxemburg norm exceeds 1e300")
-            return norm if norm > _NORM_MIN else 0.0
-        lam *= rho ** (rho / float((q * terms).sum()))
+            norms[rows[j]] = norm if norm > _NORM_MIN else 0.0
+        if newton:
+            moved = terms if len(newton) == len(rho) else terms[newton]
+            slopes = (q * moved).sum(axis=1).tolist()
+            for j, slope in zip(newton, slopes):
+                lam[j] *= rho[j] ** (rho[j] / slope)
+        if out:
+            stepped = _log_step(c[out], q, np.array([lam[j] for j in out]))
+            for j, l in zip(out, stepped.tolist()):
+                lam[j] = l
+        keep = sorted(newton + out)
+        if not keep:
+            return norms
+        if len(keep) < len(rows):
+            c = c[keep]
+            rows = [rows[j] for j in keep]
+            lam = [lam[j] for j in keep]
     raise DivergenceError("Luxemburg solver did not converge")
 
 

@@ -34,7 +34,7 @@ from varinterp import (
     reverse,
 )
 from varinterp import couples
-from varinterp.couples import _brent_bounded
+from varinterp.couples import _bracket_scan
 
 
 LL = Couple.l1_linf()
@@ -219,31 +219,82 @@ def test_generic_couple_raises_when_brute_force_hits_its_cap(monkeypatch):
         decompose(c, 2.0, f)
 
 
-def test_brent_bounded_matches_scipy_bit_for_bit():
-    optimize = pytest.importorskip("scipy.optimize")
+def test_bracket_scan_matches_a_dense_scan():
+    # smooth and kinked convex functions, 8 per call: the scan's minimum
+    # must be within xatol of a dense scan's, and its value no worse than
+    # the dense scan's beyond the change over that distance
     rng = np.random.default_rng(3)
-    for i in range(400):
+    for i in range(100):
         a = float(rng.uniform(-5.0, 1.0))
         b = a + float(10.0 ** rng.uniform(-6.0, 1.0))
-        centre = float(rng.uniform(a - 1.0, b + 1.0))
-        curvature = float(10.0 ** rng.uniform(-3.0, 3.0))
-        kink = float(rng.uniform(a, b))
+        centre = rng.uniform(a - 1.0, b + 1.0, 8)[:, None]
+        curvature = (10.0 ** rng.uniform(-3.0, 3.0, 8))[:, None]
+        kink = rng.uniform(a, b, 8)[:, None]
         # odd i: a kinked convex function, as from a sup or l1 norm
-        slope = float(rng.uniform(0.0, 5.0)) if i % 2 else 0.0
-        xatol = float(10.0 ** rng.uniform(-14.0, -2.0))
-        calls = []
+        slope = rng.uniform(0.0, 5.0, 8)[:, None] if i % 2 else 0.0
+        xatol = (b - a) * float(10.0 ** rng.uniform(-9.0, -2.0))
 
         def func(x):
-            calls.append(x)
-            return curvature * (x - centre) ** 2 + slope * abs(x - kink)
+            return curvature * (x - centre) ** 2 + slope * np.abs(x - kink)
 
-        x, fx = _brent_bounded(func, a, b, xatol)
-        ours = len(calls)
-        calls.clear()
-        ref = optimize.minimize_scalar(func, bounds=(a, b), method="bounded",
-                                       options={"xatol": xatol})
-        assert (x, fx, ours) == (float(ref.x), float(ref.fun), ref.nfev)
-        assert len(calls) == ours
+        x, fx = _bracket_scan(func, 8, a, b, xatol)
+        dense = np.linspace(a, b, 200_001)
+        values = func(dense[None, :])
+        best = values.argmin(axis=1)
+        spacing = dense[1] - dense[0]
+        assert np.all(np.abs(x - dense[best]) <= xatol + spacing)
+        if i % 2 == 0:
+            assert np.all(np.abs(x - np.clip(centre[:, 0], a, b)) <= xatol)
+        assert np.array_equal(fx, func(x[:, None])[:, 0])
+        # the dense scan's best is within one spacing of the minimizer too
+        lipschitz = 2.0 * curvature[:, 0] * (b - a + np.abs(centre[:, 0] - a)) \
+            + (slope[:, 0] if i % 2 else 0.0)
+        assert np.all(fx <= values.min(axis=1) + lipschitz * (xatol + spacing))
+
+
+def test_brute_force_counts_every_row_evaluated():
+    # the starts run in lockstep, so the norms see many rows per call, and
+    # the evaluation count is the number of rows
+    specs = (NormSpec(2.0, [1.0, 3.0, 0.5]), NormSpec(1.0, [2.0, 1.0, 1.0]))
+    seen = ([], [])
+
+    def counted(i):
+        def norm(G):
+            seen[i].append(len(G))
+            return specs[i](G)
+        return norm
+
+    c = Couple.finite_generic(counted(0), counted(1))
+    res = k_brute_force(c, 0.7, np.array([1.0, -2.0, 0.5]), return_details=True)
+    assert res.evaluations == sum(seen[0]) == sum(seen[1])
+    assert len(seen[0]) < res.evaluations / 10
+
+
+def test_batch_norms_equal_scalar_norms_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 6):
+        G = rng.normal(size=(40, n)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+        w0, w1 = 10.0 ** rng.uniform(-1, 1, (2, n))
+        candidates = [Couple.weighted_seq(w0, w1)]
+        candidates += [Couple.finite_generic(NormSpec(p, w0), NormSpec(p1, w1))
+                     for p, p1 in ((1.0, 2.0), (2.0, math.inf), (math.inf, 1.0))]
+        for c in candidates:
+            for norm, many in ((c.norm0, c.norm0_many), (c.norm1, c.norm1_many)):
+                rows = many(G)
+                assert rows.shape == (40,)
+                assert [norm(g) for g in G] == rows.tolist()
+
+
+def test_generic_l1_couple_matches_weighted_closed_form():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        w0, w1 = 10.0 ** rng.uniform(-1, 1, (2, n))
+        f = rng.uniform(-2.0, 2.0, n)
+        t = float(10.0 ** rng.uniform(-2, 2))
+        generic = Couple.finite_generic(NormSpec(1.0, w0), NormSpec(1.0, w1))
+        closed = k_functional(Couple.weighted_seq(w0, w1), t, f)
+        assert k_functional(generic, t, f) == pytest.approx(closed, rel=1e-9)
 
 
 def test_brute_force_k_runs_without_scipy():

@@ -12,6 +12,7 @@ from varinterp import (
     HaarGrid,
     JRepresentation,
     KMethodParams,
+    NormSpec,
     class_membership_check,
     construct_j_representation,
     density_check,
@@ -266,6 +267,11 @@ def test_reiteration_validation():
         reiteration_check(WS, F2, 0.75, 0.25, 0.5, Q2)
     with pytest.raises(ConfigError):
         reiteration_check(WS, F2, 0.25, 0.75, 0.0, Q2)
+    # the derived norms need K linear in |g|, as on a weighted couple
+    generic = Couple.finite_generic(NormSpec(1.0, [1.0, 2.0]),
+                                    NormSpec(1.0, [3.0, 0.5]))
+    with pytest.raises(ConfigError):
+        reiteration_check(generic, F2, 0.25, 0.75, 0.5, Q2)
 
 
 def test_lorentz_identification_indicator():

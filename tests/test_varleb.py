@@ -301,6 +301,101 @@ def test_variable_exponent_norm_matches_bisection(values, q, start, stop):
         assert luxemburg_norm(phi, q) == pytest.approx(want, rel=1e-12)
 
 
+def reference_log_norm(bases, exponents, weights):
+    """log of inf { lam : sum w_i (b_i / lam)^{q_i} <= 1 } by bisection on
+    s = log lam, with log rho(e^s) by log-sum-exp of
+    log w_i + q_i (log b_i - s), so no term leaves the float range."""
+    keep = bases > 0.0
+    log_b, q, log_w = np.log(bases[keep]), exponents[keep], np.log(weights[keep])
+
+    def log_rho(s):
+        z = log_w + q * (log_b - s)
+        top = float(z.max())
+        return top + math.log(math.fsum(np.exp(z - top)))
+
+    lo, hi = -2000.0, 2000.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if log_rho(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _contrast_problem(data):
+    # exponents q- c^u with contrast c up to 200, bases 10^x for |x| <= 100
+    # with zeros, and either weights from 1e-250 to 1e100 or a du-like
+    # weight with one tiny Lorentz-stub-like weight on the last term
+    m = data.draw(st.integers(min_value=1, max_value=30))
+    draw_floats = lambda lo, hi: np.array(data.draw(st.lists(  # noqa: E731
+        st.floats(min_value=lo, max_value=hi), min_size=m, max_size=m)))
+    bases = 10.0 ** draw_floats(-100.0, 100.0)
+    bases[draw_floats(0.0, 1.0) < 0.2] = 0.0
+    bases[data.draw(st.integers(min_value=0, max_value=m - 1))] = 1.0
+    q_minus = data.draw(st.floats(min_value=1.0, max_value=5.0))
+    contrast = data.draw(st.floats(min_value=1.0, max_value=200.0))
+    exponents = q_minus * contrast ** draw_floats(0.0, 1.0)
+    if data.draw(st.booleans()):
+        weights = 10.0 ** draw_floats(-250.0, 100.0)
+    else:
+        weights = np.full(m, data.draw(st.floats(min_value=0.01, max_value=1.0)))
+        weights[-1] = 10.0 ** data.draw(st.floats(min_value=-300.0, max_value=-100.0))
+    return bases, exponents, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_high_contrast_norm_has_no_false_divergence(data):
+    # every norm in [2^-996, 2^996] comes out, within 1e-11 of a log-space
+    # bisection, in at most 10 modular evaluations; the reference's own
+    # rounding in log rho grows with q_i |log(b_i / lam)| and reaches about
+    # 1e-13 here
+    bases, exponents, weights = _contrast_problem(data)
+    want = reference_log_norm(bases, exponents, weights)
+    evaluations = []
+    terms = varleb._modular_terms
+
+    def counted(c, q, lam):
+        evaluations.append(lam)
+        return terms(c, q, lam)
+
+    varleb._modular_terms = counted
+    try:
+        if want > 996 * math.log(2.0) + 1e-9:
+            with pytest.raises(DivergenceError):
+                weighted_power_norm(bases, exponents, weights)
+            return
+        got = weighted_power_norm(bases, exponents, weights)
+    finally:
+        varleb._modular_terms = terms
+    if want < -996 * math.log(2.0) - 1e-9:
+        assert got == 0.0
+    elif want > -996 * math.log(2.0) + 1e-9:
+        assert abs(math.log(got) - want) <= 1e-11
+        assert len(evaluations) <= 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+def test_batched_rows_equal_single_rows_bit_for_bit(seed, constant):
+    # rows with zeros, all-zero rows, magnitudes far apart, and rows that
+    # leave the float range at the first evaluation
+    rng = np.random.default_rng(seed)
+    rows, m = int(rng.integers(1, 40)), int(rng.integers(1, 200))
+    bases = 10.0 ** rng.uniform(-5.0, 5.0, (rows, m))
+    bases[rng.uniform(size=(rows, m)) < 0.3] = 0.0
+    bases[rng.uniform(size=rows) < 0.1] = 0.0
+    exponents = float(rng.uniform(1.0, 50.0)) if constant \
+        else rng.uniform(1.0, 1.0 + 50.0 * rng.uniform(), m)
+    weights = 10.0 ** rng.uniform(-200.0, 2.0, m) if rng.uniform() < 0.5 \
+        else float(rng.uniform(0.01, 1.0))
+    got = weighted_power_norm(bases, exponents, weights)
+    assert got.shape == (rows,)
+    assert got.tolist() == [weighted_power_norm(b, exponents, weights)
+                            for b in bases]
+
+
 def test_modular_norm_sandwich_brackets():
     phi = bump(GRID)
     q = ExponentFunction.from_expression("1.5 + 1/log(e + 1/t)",
