@@ -6,18 +6,21 @@ JSON by its ``kind``:
 * `WeightedSeqCouple` (``weighted_seq``): two weighted little-l1 norms on
   R^n. The K-functional splits per coordinate,
   K(t, f) = sum_k min(w0_k, t w1_k) |f_k|, with the minimizing
-  decomposition read off from the same comparison.
+  decompositions at every t read off from one comparison mask.
 * `L1LinfCouple` (``l1_linf``): (L^1, L^inf) over a nonatomic measure
   space, with elements given as atomic functions. K(t, f) is the integral
   of the decreasing rearrangement over (0, t) (Holmstedt); the optimal
-  decomposition is truncation at height f*(t).
+  decompositions are truncations at the heights f*(t), all read off one
+  rearrangement.
 * `GenericCouple` (``finite_generic``): two arbitrary norms on R^n (n
   small), given as `NormSpec`s or callables that map a (B, n) array to the
   B norms of its rows. No closed form; K is computed by the brute-force
   minimizer below, which is also the independent oracle for the closed
   forms of the other two classes.
 
-Every norm here is absolute and monotone (|g| <= |h| coordinatewise implies
+Decompositions and batch norms work on value arrays: a row is a vector of
+R^n, or the atom values of a function on the atoms of f. Every norm here
+is absolute and monotone (|g| <= |h| coordinatewise implies
 norm(g) <= norm(h)), which confines optimal decompositions to the box
 between 0 and f and makes coordinate descent with line searches sound. The
 brute-force minimizer runs all its starts in lockstep: each round of a line
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, ConstructionError, DomainError
+from .errors import CapacityError, ConfigError, DomainError
 from .rearrange import AtomFunction, rearrangement
 
 __all__ = [
@@ -98,16 +101,18 @@ class NormSpec:
 class Couple:
     """A compatible couple (A0, A1); see the module docstring for the classes.
 
-    Every couple has norm0(f) and norm1(f); k_many(ts, f), K(t, f) at an
-    array of positive t; decompose(t, f), a near-optimal split
-    f = f0 + f1 realizing K(t, f); reversed(), the couple (A1, A0);
-    difference(a, b) and total(terms) of elements; and to_json, tagged by
-    the class attribute kind. A vector couple also has norm0_many(G) and
-    norm1_many(G), the norms of the rows of a (B, n) array, each equal to
-    the scalar norm of that row. The other class attributes say what a
-    caller may rely on: is_vector_couple (elements are vectors in R^n),
-    dimension (n, for a weighted sequence couple) and ordered
-    (norm0 <= norm1 on every element).
+    Every couple has norm0(f) and norm1(f); norm0_many(G, f) and
+    norm1_many(G, f), the norms of the rows of a (B, n) value array G on
+    the atoms of f (vector couples ignore f), each equal to the scalar norm
+    of that row bit for bit; k_many(ts, f), K(t, f) at an array of
+    positive t; decompose_many(ts, f), the (m, n) value arrays (f0, f1) of
+    near-optimal splits f = f0 + f1 realizing K(t_j, f) in row j, with
+    f1 = f - f0; element(g, f), the element with values g on the atoms of
+    f; reversed(), the couple (A1, A0); and to_json, tagged by the class
+    attribute kind. The other class attributes say what a caller may rely
+    on: is_vector_couple (elements are vectors in R^n), dimension (n, for a
+    weighted sequence couple) and ordered (norm0 <= norm1 on every
+    element).
     """
 
     is_vector_couple = True
@@ -126,11 +131,17 @@ class Couple:
     def finite_generic(norm0, norm1):
         return GenericCouple(norm0, norm1)
 
-    def difference(self, a, b):
-        return np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    # the defaults serve vector couples, whose elements are value arrays
+    def norm0(self, f):
+        f = np.asarray(f, dtype=float)[None, :]
+        return float(self.norm0_many(f, f)[0])
 
-    def total(self, terms):
-        return np.sum(terms, axis=0)
+    def norm1(self, f):
+        f = np.asarray(f, dtype=float)[None, :]
+        return float(self.norm1_many(f, f)[0])
+
+    def element(self, g, f):
+        return g
 
     def operator_norms(self, matrix):
         """The exact norms of a matrix on A0 and on A1."""
@@ -176,18 +187,12 @@ class WeightedSeqCouple(Couple):
         self.dimension = len(w0)
         self.ordered = bool(np.all(w0 <= w1))
 
-    def norm0(self, f):
-        return float(self.norm0_many(np.asarray(f, dtype=float)))
-
-    def norm1(self, f):
-        return float(self.norm1_many(np.asarray(f, dtype=float)))
-
-    def norm0_many(self, G):
+    def norm0_many(self, G, f):
         # ndarray.sum is np.sum without its Python-level dispatch; a row sum
         # along the last, contiguous axis equals the sum of that row alone
         return (self.w0 * np.abs(G)).sum(axis=-1)
 
-    def norm1_many(self, G):
+    def norm1_many(self, G, f):
         return (self.w1 * np.abs(G)).sum(axis=-1)
 
     def k_weights(self, ts):
@@ -196,10 +201,10 @@ class WeightedSeqCouple(Couple):
     def k_many(self, ts, f):
         return self.k_weights(ts) @ np.abs(np.asarray(f, dtype=float))
 
-    def decompose(self, t, f):
+    def decompose_many(self, ts, f):
         """Ties send the coordinate to the t-side, the smallest-f0 choice."""
         f = np.asarray(f, dtype=float)
-        f0 = np.where(self.w0 < t * self.w1, f, 0.0)
+        f0 = np.where(self.w0 < ts[:, None] * self.w1, f, 0.0)
         return f0, f - f0
 
     def reversed(self):
@@ -240,29 +245,28 @@ class L1LinfCouple(Couple):
     def norm1(self, f):
         return f.sup_value
 
+    def norm0_many(self, G, f):
+        # a stack of (1, n) @ (n,) products takes each row's np.dot with the
+        # masses, as total_l1 does; G @ masses may round differently
+        return (G[:, None, :] @ f.masses)[:, 0]
+
+    def norm1_many(self, G, f):
+        return G.max(axis=1, initial=0.0)
+
+    def element(self, g, f):
+        return AtomFunction(g, f.masses)
+
     def k_many(self, ts, f):
         return _profile(f).integral_to(ts)
 
-    def decompose(self, t, f):
-        """Truncation at height c = f*(t), the smallest optimal level."""
-        c = _profile(f).value_at(t)
-        return (AtomFunction(np.maximum(f.values - c, 0.0), f.masses),
-                AtomFunction(np.minimum(f.values, c), f.masses))
+    def decompose_many(self, ts, f):
+        """Truncations at the heights f*(t_j), the smallest optimal levels."""
+        heights = _profile(f).value_at(ts)
+        f0 = np.maximum(f.values - heights[:, None], 0.0)
+        return f0, f.values - f0
 
     def reversed(self):
         raise ConfigError("the l1_linf couple has no finite reversed representation")
-
-    def difference(self, a, b):
-        """a - b for nested truncations, where it is nonnegative."""
-        diff = a.values - b.values
-        scale = max(float(np.max(np.abs(a.values), initial=0.0)), 1e-300)
-        if np.any(diff < -1e-9 * scale):
-            raise ConstructionError("telescoping produced a negative part")
-        return AtomFunction(np.maximum(diff, 0.0), a.masses)
-
-    def total(self, terms):
-        return AtomFunction(np.sum([u.values for u in terms], axis=0),
-                            terms[0].masses)
 
     @classmethod
     def _from_json_fields(cls, data):
@@ -287,39 +291,36 @@ class GenericCouple(Couple):
             raise ConfigError("finite_generic needs two NormSpecs or two callables")
         self.norms = (norm0, norm1)
 
-    def norm0(self, f):
-        return float(self.norm0_many(np.asarray(f, dtype=float)[None, :])[0])
-
-    def norm1(self, f):
-        return float(self.norm1_many(np.asarray(f, dtype=float)[None, :])[0])
-
-    def norm0_many(self, G):
+    def norm0_many(self, G, f):
         return self.norms[0](G)
 
-    def norm1_many(self, G):
+    def norm1_many(self, G, f):
         return self.norms[1](G)
 
-    def _brute_force(self, t, f, extra_starts=()):
-        result = k_brute_force(self, t, f, extra_starts=extra_starts,
-                               return_details=True)
-        if result.cap_hit:
-            raise CapacityError(f"brute-force K hit its evaluation cap at t={t:g}")
-        return result
-
-    def k_many(self, ts, f):
-        """Brute-force K at increasing t, each warm-started at the last
-        minimizer."""
-        out = np.empty(len(ts))
+    def _brute_force_many(self, ts, f):
+        """Brute-force K and minimizers at increasing t, each warm-started
+        at the last minimizer; (values, minimizers) in the order of ts."""
+        f = np.asarray(f, dtype=float)
+        values = np.empty(len(ts))
+        minimizers = np.empty((len(ts), len(f)))
         warm = ()
         for pos in np.argsort(ts):
-            result = self._brute_force(float(ts[pos]), f, warm)
-            out[pos] = result.value
+            t = float(ts[pos])
+            result = k_brute_force(self, t, f, extra_starts=warm,
+                                   return_details=True)
+            if result.cap_hit:
+                raise CapacityError(f"brute-force K hit its evaluation cap at t={t:g}")
+            values[pos] = result.value
+            minimizers[pos] = result.minimizer
             warm = (result.minimizer,)
-        return out
+        return values, minimizers
 
-    def decompose(self, t, f):
-        g = self._brute_force(t, f).minimizer
-        return g, np.asarray(f, dtype=float) - g
+    def k_many(self, ts, f):
+        return self._brute_force_many(ts, f)[0]
+
+    def decompose_many(self, ts, f):
+        f0 = self._brute_force_many(ts, f)[1]
+        return f0, np.asarray(f, dtype=float) - f0
 
     def reversed(self):
         return GenericCouple(*self.norms[::-1])
@@ -376,9 +377,10 @@ def k_functional_many(couple, ts, f):
 
 
 def decompose(couple, t, f):
-    """A near-optimal split f = f0 + f1 realizing K(t, f)."""
+    """A near-optimal split f = f0 + f1 realizing K(t, f), as elements."""
     _require_positive(t)
-    return couple.decompose(t, f)
+    f0, f1 = couple.decompose_many(np.array([float(t)]), f)
+    return couple.element(f0[0], f), couple.element(f1[0], f)
 
 
 def k_truncation_oracle(f, t, extra_levels=None):
@@ -483,7 +485,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     def objective(G):
         nonlocal evals
         evals += len(G)
-        return couple.norm0_many(G) + t * couple.norm1_many(f - G)
+        return couple.norm0_many(G, f) + t * couple.norm1_many(f - G, f)
 
     value = objective(g)
     active = np.arange(len(g))

@@ -35,6 +35,7 @@ from varinterp import (
 )
 from varinterp import couples
 from varinterp.couples import _bracket_scan
+from varinterp.rearrange import rearrangement
 
 
 LL = Couple.l1_linf()
@@ -280,9 +281,54 @@ def test_batch_norms_equal_scalar_norms_bit_for_bit():
                      for p, p1 in ((1.0, 2.0), (2.0, math.inf), (math.inf, 1.0))]
         for c in candidates:
             for norm, many in ((c.norm0, c.norm0_many), (c.norm1, c.norm1_many)):
-                rows = many(G)
+                rows = many(G, G[0])
                 assert rows.shape == (40,)
                 assert [norm(g) for g in G] == rows.tolist()
+
+
+def test_l1_linf_batch_norms_equal_scalar_norms_bit_for_bit():
+    # G @ masses rounds differently from np.dot of a row in many rows
+    rng = np.random.default_rng(13)
+    for n in (0, 1, 2, 5, 6, 40):
+        f = AtomFunction(np.ones(n), 10.0 ** rng.uniform(-2, 2, n))
+        G = 10.0 ** rng.uniform(-3, 3, (300, n)) * (rng.random((300, n)) < 0.8)
+        rows = [AtomFunction(g, f.masses) for g in G]
+        assert LL.norm0_many(G, f).tolist() == [u.total_l1 for u in rows]
+        assert LL.norm1_many(G, f).tolist() == [u.sup_value for u in rows]
+
+
+def test_decompose_many_rows_equal_single_t_decompositions():
+    rng = np.random.default_rng(14)
+    ts = 2.0 ** rng.uniform(-8, 8, 30)
+    w0, w1 = 10.0 ** rng.uniform(-1, 1, (2, 5))
+    ws = Couple.weighted_seq(w0, w1)
+    f = rng.uniform(-2.0, 2.0, 5)
+    g = AtomFunction(10.0 ** rng.uniform(-1, 1, 6), 10.0 ** rng.uniform(-2, 2, 6))
+    profile = rearrangement(g)
+    cases = (
+        (ws, f, f, lambda t: np.where(w0 < t * w1, f, 0.0)),
+        (LL, g, g.values, lambda t: np.maximum(g.values - profile.value_at(t), 0.0)),
+    )
+    for c, element, values, closed in cases:
+        f0, f1 = c.decompose_many(ts, element)
+        assert f0.shape == f1.shape == (len(ts), len(values))
+        assert np.array_equal(f1, values - f0)
+        for t, row0, row1 in zip(ts, f0, f1):
+            a0, a1 = decompose(c, float(t), element)
+            if c is LL:
+                a0, a1 = a0.values, a1.values
+            assert np.array_equal(row0, a0) and np.array_equal(row1, a1)
+            assert np.array_equal(row0, closed(t))
+    # brute force: warm starts make rows differ from cold single-t splits,
+    # so each row is held to K instead
+    c = Couple.finite_generic(NormSpec(2.0, [1.0, 3.0, 0.5]),
+                              NormSpec(1.0, [2.0, 1.0, 1.0]))
+    f = np.array([1.0, -2.0, 0.5])
+    ts = np.array([4.0, 0.25, 1.0, 0.05])
+    f0, f1 = c.decompose_many(ts, f)
+    costs = c.norm0_many(f0, f) + ts * c.norm1_many(f1, f)
+    for t, cost in zip(ts, costs):
+        assert cost == pytest.approx(k_functional(c, float(t), f), rel=1e-9)
 
 
 def test_generic_l1_couple_matches_weighted_closed_form():

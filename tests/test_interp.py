@@ -7,6 +7,7 @@ import pytest
 from varinterp import (
     AtomFunction,
     ConfigError,
+    ConstructionError,
     Couple,
     ExponentFunction,
     HaarGrid,
@@ -113,13 +114,44 @@ def test_embedding_checks_pass_and_scale():
 def test_j_representation_telescopes_and_bounds():
     jrep = construct_j_representation(WS, F2, 16)
     assert jrep.j_bound_ok and jrep.worst_ratio <= 3.03
-    recon = sum(jrep.term(v) for v in range(-16, 17))
-    assert np.array_equal(recon, F2)
+    assert jrep.terms.shape == (33, 2)
+    assert np.array_equal(jrep.terms.sum(axis=0), F2)
 
     jrep = construct_j_representation(LL, CHI, 12)
     assert jrep.j_bound_ok
-    recon = sum(t.total_l1 for t in jrep.terms)
+    assert jrep.terms.shape == (25, 1)
+    recon = sum(AtomFunction(u, CHI.masses).total_l1 for u in jrep.terms)
     assert recon == pytest.approx(CHI.total_l1, rel=1e-12)
+
+
+def test_j_representation_rejects_a_decomposition_above_k(monkeypatch):
+    # f0 = 0 costs t norm1(f), above K once t w1 > w0 in some coordinate
+    c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
+
+    def lazy(ts, f):
+        return np.zeros((len(ts), len(f))), np.tile(f, (len(ts), 1))
+
+    monkeypatch.setattr(c, "decompose_many", lazy)
+    with pytest.raises(ConstructionError, match="costs"):
+        construct_j_representation(c, F2, 4)
+
+
+def test_j_representation_rejects_a_negative_part(monkeypatch):
+    # f0 = eps at t = 1/4 costs 3 eps relatively more than K, within the
+    # slack, but leaves the part u_{-2} = 0 - eps
+    c = Couple.l1_linf()
+    real = c.decompose_many
+
+    def bumped(ts, f):
+        f0, f1 = real(ts, f)
+        row = int(np.flatnonzero(ts == 0.25)[0])
+        f0[row] += 1e-4
+        f1[row] -= 1e-4
+        return f0, f1
+
+    monkeypatch.setattr(c, "decompose_many", bumped)
+    with pytest.raises(ConstructionError, match="negative"):
+        construct_j_representation(c, CHI, 4)
 
 
 def test_j_representation_single_transition():

@@ -180,3 +180,25 @@ def test_report_does_not_depend_on_the_rest_of_the_suite():
     together = {rep.check: rep for rep in reports}
     for check_id, rep in alone.items():
         assert together[check_id] == rep
+
+
+def test_key_estimate_odd_instances_scale_the_modular_to_0_9(monkeypatch):
+    seen = {}
+    real = suite.key_estimate_check
+
+    def spy(p, interval, w, f, m, variant):
+        seen.update(p=p, interval=interval, w=w.values, f=f.values)
+        return real(p, interval, w, f, m, variant)
+
+    monkeypatch.setattr(suite, "key_estimate_check", spy)
+    config = CheckSuiteConfig(seed=42, trials=2)
+    nodes = config.grid.nodes
+    for variant in ("local", "at_zero", "at_infinity"):
+        rng = instance_rng(42, f"key-estimate-{variant.replace('_', '-')}", 1)
+        suite._key_estimate(variant, rng, 1, config)
+        a, b = seen["interval"]
+        inside = (nodes > a) & (nodes < b)
+        y = nodes[inside]
+        rho = np.sum(seen["f"][inside] ** seen["p"](y) * seen["w"][inside]
+                     * y * config.grid.du)
+        assert rho == pytest.approx(0.9, rel=1e-12)
