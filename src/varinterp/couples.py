@@ -414,6 +414,8 @@ class BruteForceResult:
 # points per round of the bracket scan: 16 intervals, so that the two
 # neighbours of the best point span 1/8 of the bracket
 _SCAN = np.arange(17) / 16.0
+# by best point, the first point of the next bracket, kept inside the scan
+_LEFT = np.clip(np.arange(17), 1, 15) - 1
 
 
 def _bracket_scan(line, rows, a, b, xatol):
@@ -435,7 +437,7 @@ def _bracket_scan(line, rows, a, b, xatol):
         best = values.argmin(axis=1)
         if width / 16.0 <= xatol:
             return xs[pick, best], values[pick, best]
-        start = xs[pick, np.clip(best, 1, 15) - 1]
+        start = xs[pick, _LEFT[best]]
         width /= 8.0
 
 

@@ -18,7 +18,8 @@ sandwich at its iterate is narrow, which for a constant exponent is at its
 first evaluation, with rho^{1/q}. It also takes a (B, m) array of bases
 and solves the B rows together, each row stopping on its own; a row's
 norm is the same, bit for bit, as when it is solved alone, so a 1-D call
-is the case B = 1.
+is the case B = 1. Only each row's stop test and step run in Python, on
+floats whose pow is the C library's; all else is array operations on rows.
 
 The module also provides the discrete two-sided weighted norm
 
@@ -197,12 +198,7 @@ _RHO_MAX = 2.0 ** 960
 def _modular_terms(c, q, lam):
     """The terms (c_i / lam)^{q_i} of a modular, one row per row of c; lam
     is a column of scales, or the scalar 1.0 at the solver's first step."""
-    if np.isscalar(lam):
-        # each term is at most its weight w_i, so none overflows and the
-        # error state (about 2.5 us to enter) is not needed
-        return c ** q
-    with np.errstate(over="ignore"):
-        return (c / lam) ** q
+    return c ** q if np.isscalar(lam) else (c / lam) ** q
 
 
 def _log_step(c, q, lam):
@@ -243,33 +239,42 @@ def weighted_power_norm(bases, exponents, weights):
     """
     b = np.asarray(bases, dtype=float)
     rows = b.reshape(1, -1) if b.ndim < 2 else b
-    norms = [0.0] * len(rows)
-    tops = rows.max(axis=1).tolist() if rows.shape[1] else norms
-    live = [i for i, top in enumerate(tops) if top > 0.0]
-    if live:
-        solved = _solve(rows if len(live) == len(rows) else rows[live],
-                        [tops[i] for i in live], exponents, weights)
-        for i, norm in zip(live, solved):
-            norms[i] = norm
-    return norms[0] if b.ndim < 2 else np.array(norms)
+    tops = rows.max(axis=1) if rows.shape[1] else np.zeros(len(rows))
+    bounds = tops.tolist()
+    least = min(bounds, default=0.0)
+    if least > 0.0 and not math.isnan(sum(bounds)):
+        norms = _solve(rows, tops, least, exponents, weights)
+    else:
+        # all-zero rows, and rows holding nan, come back 0.0 without a step
+        live = tops > 0.0
+        norms = np.zeros(len(rows))
+        if live.any():
+            norms[live] = weighted_power_norm(rows[live], exponents, weights)
+    return float(norms[0]) if b.ndim < 2 else norms
 
 
-def _solve(b, tops, exponents, weights):
-    """weighted_power_norm of the rows of b, whose maxima tops are > 0.
+@np.errstate(over="ignore")
+def _solve(b, tops, least, exponents, weights):
+    """weighted_power_norm of the rows of b, as an array; tops holds the
+    row maxima and least, their minimum, is > 0.
 
-    The arrays hold the rows; the per-row steps run on Python floats, whose
-    pow is the C library's (numpy's vectorized power differs from it in the
-    last bit for a few percent of arguments), so a row's result does not
-    depend on the rows that share the call."""
+    The exponents of the maxima, the scaling by 2^-e and back and the end
+    checks are array operations over the rows. Each row's stop test and step
+    run on Python floats, whose pow is the C library's (numpy's vectorized
+    power differs from it in the last bit for a few percent of arguments),
+    so a row's result does not depend on the rows that share the call. An
+    overflow gives inf, which the range test on rho or the end check catches."""
     q = np.asarray(exponents, dtype=float)
     q_minus, q_plus = float(q.min()), float(q.max())
     if q_minus == q_plus:
         # a scalar exponent takes numpy's fast paths, such as x * x for q = 2
         q = q_minus
     up, down = 1.0 / q_plus, 1.0 / q_minus
-    e = [math.frexp(top)[1] for top in tops]
-    c = np.ldexp(b, np.array([[-x] for x in e])) * weights ** (1.0 / q)
-    norms = [0.0] * len(c)
+    mantissas, e = np.frexp(tops)
+    # 2^-e is m / top exactly, and a float unless top < 2^-1024
+    c = (b * (mantissas / tops)[:, None] if least >= 2.0 ** -1024
+         else np.ldexp(b, -e[:, None])) * weights ** (1.0 / q)
+    his = [0.0] * len(c)
     rows = list(range(len(c)))
     lam = [1.0] * len(c)
     for step in range(100):
@@ -287,13 +292,7 @@ def _solve(b, tops, exponents, weights):
             if hi - lo > 1e-12 * lo:
                 newton.append(j)
                 continue
-            try:
-                norm = math.ldexp(hi, e[rows[j]])
-            except OverflowError:
-                norm = math.inf
-            if norm > _NORM_MAX:
-                raise DivergenceError("Luxemburg norm exceeds 1e300")
-            norms[rows[j]] = norm if norm > _NORM_MIN else 0.0
+            his[rows[j]] = hi
         if newton:
             moved = terms if len(newton) == len(rho) else terms[newton]
             slopes = (q * moved).sum(axis=1).tolist()
@@ -305,12 +304,20 @@ def _solve(b, tops, exponents, weights):
                 lam[j] = l
         keep = sorted(newton + out)
         if not keep:
-            return norms
+            break
         if len(keep) < len(rows):
             c = c[keep]
             rows = [rows[j] for j in keep]
             lam = [lam[j] for j in keep]
-    raise DivergenceError("Luxemburg solver did not converge")
+    else:
+        raise DivergenceError("Luxemburg solver did not converge")
+    norms = np.ldexp(his, e)
+    ends = norms.tolist()
+    if max(ends) > _NORM_MAX:
+        raise DivergenceError("Luxemburg norm exceeds 1e300")
+    if min(ends) <= _NORM_MIN:
+        norms[norms <= _NORM_MIN] = 0.0
+    return norms
 
 
 def luxemburg_norm(phi, q):

@@ -396,6 +396,67 @@ def test_batched_rows_equal_single_rows_bit_for_bit(seed, constant):
                             for b in bases]
 
 
+def ldexp_scaled_norm(row, exponents, weights):
+    # the row times 2^-e by np.ldexp, where max row = m 2^e with
+    # 1/2 <= m < 1, solved, and the norm times 2^e: the solver's own scaling
+    # of a row with max in [1/2, 1) is the identity
+    e = math.frexp(float(row.max()))[1]
+    return math.ldexp(weighted_power_norm(np.ldexp(row, -e), exponents, weights), e)
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_scaling_extremes_match_ldexp_scaling(constant):
+    # rows whose max is below 2^-1024, where 2^-e is not a float; rows whose
+    # max is near 2^1023, where 2^-e is subnormal; and rows whose other
+    # entries scale into the subnormal range. A weight of 1e280 on every
+    # column but the first keeps the first kind's norms representable and
+    # makes the rounding of the subnormal scaled entries of the other two
+    # kinds show in their norms; the norms of the rows scaled to a max in
+    # [1/2, 1) stay inside [2^-996, 2^996]
+    rng = np.random.default_rng(11)
+    m = 48
+    exponents = 1.0 if constant else rng.uniform(1.0, 1.05, m)
+    weights = np.full(m, 1e280)
+    weights[0] = 1e-60
+    tiny = rng.uniform(0.0, 1.0, (3, m)) * 2.0 ** -1050
+    huge = 10.0 ** rng.uniform(-20.0, -8.0, (3, m))
+    huge[:, 0] = np.array([0.6, 0.9, 1.7]) * 2.0 ** 1023
+    spread = 10.0 ** rng.uniform(-200.0, -190.0, (3, m))
+    spread[:, 0] = rng.uniform(0.5, 1.0, 3) * 2.0 ** 400
+    for rows in (np.vstack([tiny, huge, spread]), np.vstack([huge, spread])):
+        got = weighted_power_norm(rows, exponents, weights)
+        want = [ldexp_scaled_norm(row, exponents, weights) for row in rows]
+        assert all(2.0 ** -996 < w < 2.0 ** 996 for w in want)
+        assert got.tolist() == want
+        assert got.tolist() == [weighted_power_norm(row, exponents, weights)
+                                for row in rows]
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_batch_keeps_norm_ends(constant):
+    # a row whose norm is above 2^996 makes the batch raise; a row whose
+    # norm is at or below 2^-996 comes back 0.0 beside nonzero rows. Norms
+    # scale exactly with powers of two, so the rows sit on both sides of
+    # each end
+    rng = np.random.default_rng(5)
+    m = 64
+    exponents = 2.5 if constant else rng.uniform(2.0, 3.0, m)
+    base = rng.uniform(0.5, 1.0, m)
+    mantissa, e = math.frexp(weighted_power_norm(base, exponents, 0.1))
+    assert mantissa > 0.5
+    shifts = np.array([[0], [-995 - e], [-996 - e], [996 - e]])
+    rows = np.ldexp(base, shifts)
+    got = weighted_power_norm(rows, exponents, 0.1)
+    assert got.tolist() == [math.ldexp(mantissa, e), math.ldexp(mantissa, -995),
+                            0.0, math.ldexp(mantissa, 996)]
+    assert got.tolist() == [weighted_power_norm(row, exponents, 0.1) for row in rows]
+    over = np.vstack([rows, np.ldexp(base, 997 - e)])
+    with pytest.raises(DivergenceError):
+        weighted_power_norm(over, exponents, 0.1)
+    with pytest.raises(DivergenceError):
+        weighted_power_norm(over[-1], exponents, 0.1)
+
+
 def test_modular_norm_sandwich_brackets():
     phi = bump(GRID)
     q = ExponentFunction.from_expression("1.5 + 1/log(e + 1/t)",
