@@ -12,6 +12,7 @@ Exit codes: 0 success/pass, 1 check failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .errors import (
 from .exponents import ExponentFunction
 from .rearrange import AtomFunction, rearrangement
 from .suite import CheckSuiteConfig, run_check, run_check_suite
-from .varleb import HaarGrid, SampledFunction, luxemburg_norm
+from .varleb import DEFAULT_GRID, HaarGrid, SampledFunction, luxemburg_norm
 
 __all__ = ["main", "parse_exponent"]
 
@@ -70,7 +71,7 @@ def _load_json(arg):
 
 
 def _parse_grid(text):
-    grid_v, grid_spo = 16, 32
+    grid_v, grid_spo = DEFAULT_GRID.V, DEFAULT_GRID.samples_per_octave
     for part in text.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
@@ -194,9 +195,7 @@ def _cmd_suite(args):
         raise ValueError("suite config must be a JSON object")
     config = CheckSuiteConfig.from_json_dict(data)
     if args.out is not None:
-        config = CheckSuiteConfig(seed=config.seed, trials=config.trials,
-                                  grid=config.grid, checks=config.checks,
-                                  output_dir=args.out)
+        config = dataclasses.replace(config, output_dir=args.out)
     exit_code, reports = run_check_suite(config)
     for report in reports:
         status = "pass" if report.passed else "FAIL"

@@ -58,7 +58,6 @@ __all__ = [
     "apply_operator",
     "operator_bound_check",
     "OperatorBoundReport",
-    "reverse",
 ]
 
 
@@ -337,11 +336,6 @@ class GenericCouple(Couple):
                    NormSpec.from_json_dict(data["norm1"]))
 
 
-def reverse(couple):
-    """The couple with the two norms swapped."""
-    return couple.reversed()
-
-
 # ---------------------------------------------------------------------------
 # K- and J-functionals
 # ---------------------------------------------------------------------------
@@ -383,19 +377,15 @@ def decompose(couple, t, f):
     return couple.element(f0[0], f), couple.element(f1[0], f)
 
 
-def k_truncation_oracle(f, t, extra_levels=None):
+def k_truncation_oracle(f, t):
     """Independent K oracle for l1_linf by scanning truncation heights.
 
     The optimal cost c -> sum (v_i - c)_+ m_i + t c is piecewise linear in c
-    with kinks only at atom values and 0, so scanning those candidates (plus
-    any extra levels) is exact. Returns (k_value, best_level) with the
-    smallest optimal level.
+    with kinks only at atom values and 0, so scanning those candidates is
+    exact. Returns (k_value, best_level) with the smallest optimal level.
     """
     _require_positive(t)
     candidates = np.unique(np.concatenate([[0.0], f.values]))
-    if extra_levels is not None:
-        candidates = np.unique(np.concatenate([candidates,
-                                               np.asarray(extra_levels, dtype=float)]))
     excess = np.maximum(f.values[None, :] - candidates[:, None], 0.0)
     costs = excess @ f.masses + t * candidates
     best = float(np.min(costs))
@@ -592,19 +582,6 @@ class LinearOperatorSpec:
     def from_matrix(cls, matrix, couple):
         """Attach the exact operator norms; see Couple.operator_norms."""
         return cls(matrix, *couple.operator_norms(matrix))
-
-    def to_json(self):
-        return json.dumps({"matrix": self.matrix.tolist(),
-                           "M0": self.bound0, "M1": self.bound1})
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text) if isinstance(text, str) else text
-        try:
-            return cls(np.asarray(data["matrix"], dtype=float),
-                       float(data["M0"]), float(data["M1"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed operator JSON: {exc}") from exc
 
 
 def apply_operator(op, f):

@@ -34,6 +34,7 @@ __all__ = [
     "parse_expression",
     "evaluate_expression",
     "essential_bounds",
+    "exponent_values",
     "estimate_log_holder",
     "log_holder_constants",
 ]
@@ -266,11 +267,12 @@ class ExponentFunction:
                    source=source, _tree=tree)
 
     @classmethod
-    def piecewise(cls, breakpoints, values, p_at_zero=None, p_at_infinity=None):
+    def piecewise(cls, breakpoints, values):
         """Piecewise-constant table with left-closed, right-open cells.
 
         breakpoints b_1 < ... < b_k split (0, oo) into cells
-        (0, b_1), [b_1, b_2), ..., [b_k, oo); values has length k + 1.
+        (0, b_1), [b_1, b_2), ..., [b_k, oo); values has length k + 1. The
+        limits p(0) and p_inf are the values of the end cells.
         """
         breakpoints = np.asarray(breakpoints, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -280,11 +282,7 @@ class ExponentFunction:
             raise ConfigError("piecewise breakpoints must be positive and increasing")
         if np.any(values < 1.0) or not np.all(np.isfinite(values)):
             raise InvalidExponentError("piecewise exponent values must be finite and >= 1")
-        if p_at_zero is None:
-            p_at_zero = values[0]
-        if p_at_infinity is None:
-            p_at_infinity = values[-1]
-        return cls("piecewise", float(p_at_zero), float(p_at_infinity),
+        return cls("piecewise", float(values[0]), float(values[-1]),
                    _breakpoints=breakpoints, _cell_values=values)
 
     @property
@@ -334,9 +332,21 @@ def _probe(tree, t):
     return max(value, 1.0)
 
 
+def exponent_values(q, grid):
+    """q at the nodes of a HaarGrid. An ExponentFunction is evaluated once
+    per grid (see on_grid) and is valid by construction; a plain callable is
+    evaluated and checked on every call."""
+    if isinstance(q, ExponentFunction):
+        return q.on_grid(grid)
+    values = np.asarray(q(grid.nodes), dtype=float)
+    if (values < 1.0).any() or not np.isfinite(values).all():
+        raise ConfigError("exponent must be finite and >= 1 on the grid")
+    return values
+
+
 def essential_bounds(p, grid):
     """Sampled (p_minus, p_plus) over the grid nodes."""
-    values = p(grid.nodes)
+    values = exponent_values(p, grid)
     return float(np.min(values)), float(np.max(values))
 
 

@@ -39,17 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HardyInstance:
-    """Inputs of a Hardy check: ratio a, exponent q, data epsilon, order s.
-
-    The discrete check uses (a, q, epsilon: TwoSidedSequence); the
-    continuous one uses (s, q, epsilon: SampledFunction). s is None for
-    discrete instances.
-    """
+    """Inputs of the discrete Hardy check: ratio a, exponent q (a number or
+    a constant exponent) and data epsilon, a TwoSidedSequence."""
 
     a: float
     q: object
     epsilon: object
-    s: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:

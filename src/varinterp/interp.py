@@ -28,17 +28,16 @@ from .couples import (
     k_brute_force,
     k_functional,
     k_functional_many,
-    reverse,
 )
 from .errors import CapacityError, ConfigError, ConstructionError
-from .exponents import ExponentFunction, essential_bounds
+from .exponents import ExponentFunction, essential_bounds, exponent_values
 from .rearrange import lorentz_norm
 from .varleb import (
+    DEFAULT_GRID,
     HaarGrid,
     LambdaNormParams,
     SampledFunction,
     TwoSidedSequence,
-    _exponent_values,
     lambda_norm,
     luxemburg_norm,
     weighted_power_norm,
@@ -211,7 +210,7 @@ def construct_j_representation(couple, f, V):
                            bool(worst <= 3.03))
 
 
-def j_norm_discrete(couple, representation, theta, q_zero, q_infinity):
+def j_norm_discrete(representation, theta, q_zero, q_infinity):
     """Discrete J-method norm of a representation."""
     return lambda_norm(TwoSidedSequence(representation.V, representation.j_values),
                        LambdaNormParams(theta, q_zero, q_infinity))
@@ -233,7 +232,8 @@ def kj_equivalence_check(couple, f, params, *, V=None):
 
     The J-norm of the telescoped representation dominates the K-norm up to
     the termwise factor 3; the forward direction (continuous K-norm against
-    the discrete J-norm) is recorded as forward_constant.
+    the discrete J-norm) is recorded as forward_constant. The discrete
+    K-norm reads the K values the representation was built from.
     """
     if V is None:
         V = params.grid.V
@@ -241,8 +241,9 @@ def kj_equivalence_check(couple, f, params, *, V=None):
     q0 = params.q.p_at_zero
     qi = params.q.p_at_infinity
     rep = construct_j_representation(couple, f, V)
-    kd = k_norm_discrete(couple, f, theta, q0, qi, V)
-    jd = j_norm_discrete(couple, rep, theta, q0, qi)
+    kd = lambda_norm(TwoSidedSequence(V, rep.k_values),
+                     LambdaNormParams(theta, q0, qi))
+    jd = j_norm_discrete(rep, theta, q0, qi)
     kc = k_norm_continuous(couple, f, params)
     ratio = jd / kd if kd > 0 else 0.0
     forward = kc / jd if jd > 0 else 0.0
@@ -260,18 +261,16 @@ class DensityReport:
     passed: bool
 
 
-def density_check(couple, f, params, N_list=None, *, V=None):
+def density_check(couple, f, params):
     """Norm convergence of the truncated J-representation to f.
 
-    The residual after keeping terms |v| <= N is the sum of the tail terms;
-    its K-method norm relative to ||f|| should decrease in N and be small
-    once N approaches V.
+    The representation runs over |v| <= V, the grid's V. The residual after
+    keeping terms |v| <= N, for N = 2, 4, ... and V - 2, is the sum of the
+    tail terms; its K-method norm relative to ||f|| should decrease in N
+    and be small once N approaches V.
     """
-    if V is None:
-        V = params.grid.V
-    if N_list is None:
-        N_list = list(range(2, V - 1, 2)) + [V - 2]
-    truncations = sorted(set(N_list))
+    V = params.grid.V
+    truncations = sorted(set(list(range(2, V - 1, 2)) + [V - 2]))
     rep = construct_j_representation(couple, f, V)
     knorm = k_norm_continuous(couple, f, params)
     abs_v = np.abs(np.arange(-V, V + 1))
@@ -310,9 +309,7 @@ def prop_exponent_monotone(couple, f, theta, q, r, grid):
     Requires q <= r on the grid. Records ||f||_r / ||f||_q and the sup-norm
     ratio; both must be finite for nonzero f.
     """
-    q_vals = np.asarray(q(grid.nodes), dtype=float)
-    r_vals = np.asarray(r(grid.nodes), dtype=float)
-    if np.any(q_vals > r_vals + 1e-12):
+    if np.any(exponent_values(q, grid) > exponent_values(r, grid) + 1e-12):
         raise ConfigError("prop_exponent_monotone needs q <= r on the grid")
     norm_q = k_norm_continuous(couple, f, KMethodParams(theta, q, grid))
     norm_r = k_norm_continuous(couple, f, KMethodParams(theta, r, grid))
@@ -329,17 +326,18 @@ def prop_exponent_monotone(couple, f, theta, q, r, grid):
                               "ratio_sup": ratio_sup}, passed)
 
 
-def prop_reversal_symmetry(couple, f, theta, q, grid, *, V=8):
+def prop_reversal_symmetry(couple, f, theta, q, grid):
     """Swapping the couple, theta -> 1 - theta and t -> 1/t preserves norms.
 
     Requires q(0) = q_inf. On a symmetric grid the substitution u -> -u
     maps one modular onto the other exactly, so the continuous norms agree
-    to solver tolerance. The discrete norms swap blocks up to the v = 0
-    boundary term; their ratio is recorded but only sanity-bounded.
+    to solver tolerance. The discrete norms (|v| <= 8) swap blocks up to
+    the v = 0 boundary term; their ratio is recorded but only
+    sanity-bounded.
     """
     if abs(q.p_at_zero - q.p_at_infinity) > 1e-12:
         raise ConfigError("reversal symmetry needs q(0) = q_inf")
-    rev = reverse(couple)
+    rev = couple.reversed()
     forward = k_norm_continuous(couple, f, KMethodParams(theta, q, grid))
 
     def q_reflected(ts):
@@ -350,8 +348,8 @@ def prop_reversal_symmetry(couple, f, theta, q, grid, *, V=8):
 
     q0 = q.p_at_zero
     qi = q.p_at_infinity
-    kd_fwd = k_norm_discrete(couple, f, theta, q0, qi, V)
-    kd_rev = k_norm_discrete(rev, f, 1.0 - theta, qi, q0, V)
+    kd_fwd = k_norm_discrete(couple, f, theta, q0, qi, 8)
+    kd_rev = k_norm_discrete(rev, f, 1.0 - theta, qi, q0, 8)
     d_ratio = kd_rev / kd_fwd if kd_fwd > 0 else 1.0
     passed = abs(ratio - 1.0) <= 1e-9 and 0.25 <= d_ratio <= 4.0
     return PropositionReport("reversal_symmetry",
@@ -361,26 +359,24 @@ def prop_reversal_symmetry(couple, f, theta, q, grid, *, V=8):
                               "discrete_ratio": d_ratio}, passed)
 
 
-def prop_equal_limits(couple, f, theta, q_a, q_b, *, V=8, grid=None):
+def prop_equal_limits(couple, f, theta, q_a, q_b, grid):
     """Discrete norms coincide whenever the exponents share both limits.
 
-    The discrete norm reads only q(0) and q_inf, so two exponents that
-    agree there give identical values even when they differ in between;
-    when a grid is supplied the (generally different) continuous norms are
+    The discrete norm (|v| <= 8) reads only q(0) and q_inf, so two
+    exponents that agree there give identical values even when they differ
+    in between; the (generally different) continuous norms on the grid are
     recorded alongside for contrast.
     """
     if abs(q_a.p_at_zero - q_b.p_at_zero) > 1e-12 or \
             abs(q_a.p_at_infinity - q_b.p_at_infinity) > 1e-12:
         raise ConfigError("prop_equal_limits needs matching limit exponents")
-    d_a = k_norm_discrete(couple, f, theta, q_a.p_at_zero, q_a.p_at_infinity, V)
-    d_b = k_norm_discrete(couple, f, theta, q_b.p_at_zero, q_b.p_at_infinity, V)
-    values = {"discrete_a": d_a, "discrete_b": d_b}
-    if grid is not None:
-        c_a = k_norm_continuous(couple, f, KMethodParams(theta, q_a, grid))
-        c_b = k_norm_continuous(couple, f, KMethodParams(theta, q_b, grid))
-        values["continuous_a"] = c_a
-        values["continuous_b"] = c_b
-        values["continuous_ratio"] = c_b / c_a if c_a > 0 else 1.0
+    d_a = k_norm_discrete(couple, f, theta, q_a.p_at_zero, q_a.p_at_infinity, 8)
+    d_b = k_norm_discrete(couple, f, theta, q_b.p_at_zero, q_b.p_at_infinity, 8)
+    c_a = k_norm_continuous(couple, f, KMethodParams(theta, q_a, grid))
+    c_b = k_norm_continuous(couple, f, KMethodParams(theta, q_b, grid))
+    values = {"discrete_a": d_a, "discrete_b": d_b,
+              "continuous_a": c_a, "continuous_b": c_b,
+              "continuous_ratio": c_b / c_a if c_a > 0 else 1.0}
     passed = d_a == d_b
     return PropositionReport("equal_limits", values, passed)
 
@@ -432,7 +428,7 @@ def prop_identical_couple(weights, f, theta, q, grid):
     return PropositionReport("identical_couple", values, passed)
 
 
-def proposition_checks(couple, f, params=None, *, V=8):
+def proposition_checks(couple, f, params=None):
     """Run every structural proposition applicable to the couple."""
     if params is None:
         params = KMethodParams(0.5, ExponentFunction.constant(2.0), HaarGrid(8, 16))
@@ -446,18 +442,18 @@ def proposition_checks(couple, f, params=None, *, V=8):
         couple, f, theta, q, bumped, grid)
     if couple.is_vector_couple:
         reports["reversal_symmetry"] = prop_reversal_symmetry(
-            couple, f, theta, q, grid, V=V)
+            couple, f, theta, q, grid)
     if q.is_constant:
         q_wobble = ExponentFunction.from_expression(
             f"{q.p_at_zero} + min(t, 1/t)",
             p_at_zero=q.p_at_zero, p_at_infinity=q.p_at_infinity)
         reports["equal_limits"] = prop_equal_limits(
-            couple, f, theta, q, q_wobble, V=V, grid=grid)
+            couple, f, theta, q, q_wobble, grid)
     if couple.ordered:
         reports["theta_monotone"] = prop_theta_monotone(
             couple, f, min(theta, 0.75) * 0.5, theta, q, grid)
     # ordered both ways: norm0 == norm1
-    if couple.ordered and reverse(couple).ordered:
+    if couple.ordered and couple.reversed().ordered:
         reports["identical_couple"] = prop_identical_couple(
             couple.w0, f, theta, q, grid)
     return reports
@@ -510,7 +506,7 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
     if inner_grid is None:
         inner_grid = HaarGrid(12, 8)
     if base_grid is None:
-        base_grid = HaarGrid(16, 32)
+        base_grid = DEFAULT_GRID
     theta = (1.0 - eta) * theta0 + eta * theta1
 
     def outer_norm_on(grid_in):
@@ -520,7 +516,7 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
         def make_norm(theta_i, q_i):
             # t_j^{-theta} K(t_j, g) for every row g of G is |G| @ kernel
             kernel = (cost * ts[:, None] ** -theta_i).T
-            q_values = _exponent_values(q_i, grid_in)
+            q_values = exponent_values(q_i, grid_in)
 
             def nrm(G):
                 return weighted_power_norm(np.abs(G) @ kernel, q_values,

@@ -14,13 +14,12 @@ an explicit finite computation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError
-from .varleb import weighted_power_norm
+from .errors import ConfigError, DomainError
+from .varleb import _two_block_norm, weighted_power_norm
 
 __all__ = [
     "AtomFunction",
@@ -251,11 +250,5 @@ def lorentz_discrete_norm(f, p, q, V):
     fstar = profile.value_at(2.0 ** v.astype(float))
     q0, p0 = q.p_at_zero, p.p_at_zero
     qi, pi = q.p_at_infinity, p.p_at_infinity
-    lower = v <= 0
-    upper = ~lower
-    with np.errstate(over="ignore"):
-        s0 = float(np.sum(2.0 ** (v[lower] * q0 / p0) * fstar[lower] ** q0))
-        s1 = float(np.sum(2.0 ** (v[upper] * qi / pi) * fstar[upper] ** qi))
-    if not (math.isfinite(s0) and math.isfinite(s1)):
-        raise DivergenceError("discrete Lorentz modular overflowed")
-    return s0 ** (1.0 / q0) + s1 ** (1.0 / qi)
+    return _two_block_norm(v, np.where(v <= 0, v * q0 / p0, v * qi / pi),
+                           fstar, q0, qi)

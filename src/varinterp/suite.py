@@ -19,7 +19,7 @@ import math
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,6 +66,7 @@ from .rearrange import (
 )
 from .reports import CheckReport
 from .varleb import (
+    DEFAULT_GRID,
     HaarGrid,
     SampledFunction,
     TwoSidedSequence,
@@ -100,8 +101,8 @@ def instance_rng(seed, check_id, index):
 # ---------------------------------------------------------------------------
 
 
-def _rand_constant_exponent(rng, lo=1.2, hi=4.0):
-    return ExponentFunction.constant(float(rng.uniform(lo, hi)))
+def _rand_constant_exponent(rng):
+    return ExponentFunction.constant(float(rng.uniform(1.2, 4.0)))
 
 
 def _log_exponent(c, d):
@@ -180,14 +181,15 @@ def _rand_k_problem(rng, i, grid):
     return couple, f, KMethodParams(theta, q, grid)
 
 
-def _rand_block_callable(rng, quantum, u_lo=-5.0, u_hi=5.0, blocks=3):
-    """Sum of indicator blocks in log scale.
+def _rand_block_callable(rng, quantum):
+    """Sum of three indicator blocks in log scale, inside [2^-5, 2^5].
 
     Edges snap to multiples of the quantum (a cell width in u), so the same
     function is resolved exactly on a grid and its refinements; grid nodes
     sit at half-cell offsets and never touch an edge.
     """
-    edges = np.sort(rng.uniform(u_lo * LN2, u_hi * LN2, 2 * blocks))
+    blocks = 3
+    edges = np.sort(rng.uniform(-5.0 * LN2, 5.0 * LN2, 2 * blocks))
     edges = np.round(edges / quantum) * quantum
     heights = rng.uniform(0.2, 2.0, blocks)
     if not np.any(edges[1::2] > edges[0::2]):
@@ -683,7 +685,7 @@ class CheckSuiteConfig:
 
     seed: int = 42
     trials: int = 100
-    grid: HaarGrid = field(default_factory=lambda: HaarGrid(16, 32))
+    grid: HaarGrid = DEFAULT_GRID
     checks: tuple = ()
     output_dir: str | None = None
 
@@ -701,8 +703,9 @@ class CheckSuiteConfig:
     @classmethod
     def from_json_dict(cls, data):
         grid_data = data.get("grid", {})
-        grid = HaarGrid(int(grid_data.get("V", 16)),
-                        int(grid_data.get("samples_per_octave", 32)))
+        grid = HaarGrid(int(grid_data.get("V", DEFAULT_GRID.V)),
+                        int(grid_data.get("samples_per_octave",
+                                          DEFAULT_GRID.samples_per_octave)))
         try:
             return cls(seed=int(data.get("seed", 42)),
                        trials=int(data.get("trials", 100)),
@@ -718,7 +721,7 @@ def run_check(check_id, *, seed=42, trials=100, grid=None):
     if check_id not in CHECK_REGISTRY:
         raise ConfigError(f"unknown check id {check_id!r}")
     config = CheckSuiteConfig(seed=seed, trials=trials,
-                              grid=grid if grid is not None else HaarGrid(16, 32),
+                              grid=grid if grid is not None else DEFAULT_GRID,
                               checks=(check_id,))
     return CHECK_REGISTRY[check_id](config)
 

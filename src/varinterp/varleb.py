@@ -26,7 +26,8 @@ The module also provides the discrete two-sided weighted norm
     ||alpha|| = (sum_{v<=0} 2^{-v th q0} alpha_v^{q0})^{1/q0}
               + (sum_{v>=1} 2^{-v th qi} alpha_v^{qi})^{1/qi}
 
-used by the discrete interpolation functionals.
+used by the discrete interpolation functionals. It and the dyadic Lorentz
+norm of rearrange.py are one two-block norm with different weights.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError, GridMismatchError
-from .exponents import ExponentFunction, essential_bounds
+from .exponents import essential_bounds, exponent_values
 
 __all__ = [
+    "DEFAULT_GRID",
     "HaarGrid",
     "SampledFunction",
     "TwoSidedSequence",
@@ -105,20 +107,15 @@ class HaarGrid:
         t.flags.writeable = False
         return t
 
-    def refined(self, spo_factor=1, V=None):
-        return HaarGrid(self.V if V is None else V,
-                        self.samples_per_octave * spo_factor)
+    def refined(self, spo_factor=1):
+        return HaarGrid(self.V, self.samples_per_octave * spo_factor)
 
     def to_json(self):
         return json.dumps({"V": self.V, "samples_per_octave": self.samples_per_octave})
 
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text) if isinstance(text, str) else text
-        try:
-            return cls(int(data["V"]), int(data["samples_per_octave"]))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed grid JSON: {exc}") from exc
+
+# the grid of the suite, the CLI and the reiteration check's direct norm
+DEFAULT_GRID = HaarGrid(16, 32)
 
 
 @dataclass(frozen=True)
@@ -166,21 +163,9 @@ class SampledFunction:
             raise ConfigError(f"malformed sampled-function JSON: {exc}") from exc
 
 
-def _exponent_values(q, grid):
-    """q at the grid nodes. An ExponentFunction is evaluated once per grid
-    and is valid by construction; a plain callable is evaluated and checked
-    on every call."""
-    if isinstance(q, ExponentFunction):
-        return q.on_grid(grid)
-    values = np.asarray(q(grid.nodes), dtype=float)
-    if (values < 1.0).any() or not np.isfinite(values).all():
-        raise ConfigError("exponent must be finite and >= 1 on the grid")
-    return values
-
-
 def modular(phi, q):
     """Midpoint-rule modular rho(phi) = sum phi^q du over the grid."""
-    q_values = _exponent_values(q, phi.grid)
+    q_values = exponent_values(q, phi.grid)
     with np.errstate(over="ignore"):
         total = float(np.sum(np.power(phi.values, q_values)) * phi.grid.du)
     return total
@@ -234,7 +219,8 @@ def weighted_power_norm(bases, exponents, weights):
     leaves [2^-960, 2^960] the step takes log rho by log-sum-exp, so it is
     a Newton step there too.
 
-    Raises DivergenceError for a norm above 2^996, or after 100 steps
+    Raises DivergenceError for a norm above 2^996, an infinite base, a row
+    whose norm scaled by 2^-e passes the float range, or after 100 steps
     without convergence; returns 0.0 for a norm at or below 2^-996.
     """
     b = np.asarray(bases, dtype=float)
@@ -242,7 +228,10 @@ def weighted_power_norm(bases, exponents, weights):
     tops = rows.max(axis=1) if rows.shape[1] else np.zeros(len(rows))
     bounds = tops.tolist()
     least = min(bounds, default=0.0)
-    if least > 0.0 and not math.isnan(sum(bounds)):
+    total = sum(bounds)
+    if total == math.inf and math.inf in bounds:
+        raise DivergenceError("Luxemburg norm exceeds 1e300")
+    if least > 0.0 and not math.isnan(total):
         norms = _solve(rows, tops, least, exponents, weights)
     else:
         # all-zero rows, and rows holding nan, come back 0.0 without a step
@@ -299,8 +288,13 @@ def _solve(b, tops, least, exponents, weights):
             for j, slope in zip(newton, slopes):
                 lam[j] *= rho[j] ** (rho[j] / slope)
         if out:
-            stepped = _log_step(c[out], q, np.array([lam[j] for j in out]))
-            for j, l in zip(out, stepped.tolist()):
+            stepped = _log_step(c[out], q, np.array([lam[j] for j in out])).tolist()
+            # a Newton step on the convex g never passes the root, so a
+            # step past the float range means the scaled norm is beyond it
+            if math.inf in stepped:
+                raise DivergenceError("Luxemburg norm of a row scaled to max "
+                                      "in [1/2, 1) exceeds the float range")
+            for j, l in zip(out, stepped):
                 lam[j] = l
         keep = sorted(newton + out)
         if not keep:
@@ -328,7 +322,7 @@ def luxemburg_norm(phi, q):
     raises DivergenceError for a norm above about 1e300 and returns 0.0 for
     one below about 1e-300.
     """
-    return weighted_power_norm(phi.values, _exponent_values(q, phi.grid),
+    return weighted_power_norm(phi.values, exponent_values(q, phi.grid),
                                phi.grid.du)
 
 
@@ -430,6 +424,20 @@ class LambdaNormParams:
             raise ConfigError("q_zero and q_infinity must be finite")
 
 
+def _two_block_norm(v, log_weights, a, q0, qi):
+    """(sum_{v<=0} 2^{c_v} a_v^{q0})^{1/q0} + (sum_{v>=1} 2^{c_v} a_v^{qi})^{1/qi}
+    over two-sided indices v, with log_weights holding the c_v; raises
+    DivergenceError where a block's sum overflows."""
+    lower = v <= 0
+    upper = ~lower
+    with np.errstate(over="ignore"):
+        s0 = float(np.sum(2.0 ** log_weights[lower] * a[lower] ** q0))
+        s1 = float(np.sum(2.0 ** log_weights[upper] * a[upper] ** qi))
+    if not (math.isfinite(s0) and math.isfinite(s1)):
+        raise DivergenceError("discrete modular overflowed")
+    return s0 ** (1.0 / q0) + s1 ** (1.0 / qi)
+
+
 def lambda_norm(alpha, params):
     """Two-sided discrete norm with weights 2^{-v theta q} split at v = 0.
 
@@ -437,15 +445,6 @@ def lambda_norm(alpha, params):
     result is the sum of the two block norms.
     """
     v = alpha.indices
-    a = alpha.values
-    th = params.theta
-    lower = v <= 0
-    upper = ~lower
-    with np.errstate(over="ignore"):
-        s0 = float(np.sum(2.0 ** (-v[lower] * th * params.q_zero)
-                          * a[lower] ** params.q_zero))
-        s1 = float(np.sum(2.0 ** (-v[upper] * th * params.q_infinity)
-                          * a[upper] ** params.q_infinity))
-    if not (math.isfinite(s0) and math.isfinite(s1)):
-        raise DivergenceError("discrete modular overflowed")
-    return s0 ** (1.0 / params.q_zero) + s1 ** (1.0 / params.q_infinity)
+    th, q0, qi = params.theta, params.q_zero, params.q_infinity
+    return _two_block_norm(v, np.where(v <= 0, -v * th * q0, -v * th * qi),
+                           alpha.values, q0, qi)

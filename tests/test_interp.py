@@ -172,7 +172,7 @@ def test_j_norm_discrete_single_term():
     j_values = np.array([0.0] * V + [norm_intersection(WS, u0)] + [0.0] * V)
     rep = JRepresentation(V, terms, np.zeros(2 * V + 1), j_values,
                           np.zeros(2 * V + 1), 0.0, True)
-    got = j_norm_discrete(WS, rep, 0.5, 2.0, 2.0)
+    got = j_norm_discrete(rep, 0.5, 2.0, 2.0)
     assert got == pytest.approx(norm_intersection(WS, u0), rel=1e-14)
 
 
@@ -184,6 +184,15 @@ def test_kj_equivalence_check():
     # ratio is scale invariant
     rep4 = kj_equivalence_check(WS, 4.0 * F2, params())
     assert rep4.ratio_j_over_k == pytest.approx(rep.ratio_j_over_k, rel=1e-9)
+    # the discrete K-norm comes from the representation's K values, which
+    # are the K values k_norm_discrete computes, bit for bit
+    qv = ExponentFunction.from_expression("1.5 + 1/log(e + 1/t)",
+                                          p_at_zero=1.5, p_at_infinity=2.5)
+    for couple, f, q, V in ((WS, F2, Q2, None), (WS, 4.0 * F2, qv, 9),
+                            (LL, AtomFunction([3.0, 1.0], [0.5, 1.0]), qv, 12)):
+        got = kj_equivalence_check(couple, f, params(0.3, q), V=V)
+        assert got.k_discrete == k_norm_discrete(
+            couple, f, 0.3, q.p_at_zero, q.p_at_infinity, V or GRID.V)
 
 
 def test_density_residuals_shrink():

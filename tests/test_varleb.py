@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varinterp import (
+    AtomFunction,
     DivergenceError,
     ExponentFunction,
     GridMismatchError,
@@ -14,9 +16,11 @@ from varinterp import (
     SampledFunction,
     TwoSidedSequence,
     lambda_norm,
+    lorentz_discrete_norm,
     luxemburg_norm,
     modular,
     modular_norm_sandwich,
+    rearrangement,
     unit_ball_check,
 )
 from varinterp import varleb
@@ -57,7 +61,6 @@ def test_v_extension_is_node_superset():
 def test_refined_grid():
     grid = HaarGrid(8, 16)
     assert grid.refined(spo_factor=2) == HaarGrid(8, 32)
-    assert grid.refined(V=12) == HaarGrid(12, 16)
 
 
 def test_sampled_function_validation():
@@ -455,6 +458,131 @@ def test_batch_keeps_norm_ends(constant):
         weighted_power_norm(over, exponents, 0.1)
     with pytest.raises(DivergenceError):
         weighted_power_norm(over[-1], exponents, 0.1)
+
+
+def count_evaluations(monkeypatch):
+    evaluations = []
+    terms = varleb._modular_terms
+
+    def counted(c, q, lam):
+        evaluations.append(lam)
+        return terms(c, q, lam)
+
+    monkeypatch.setattr(varleb, "_modular_terms", counted)
+    return evaluations
+
+
+@pytest.mark.parametrize("bases, exponents, weights", [
+    # the weights sum past the float range: the norm is 1e309
+    (np.ones(10), 1.0, 1e308),
+    (np.ones(10), np.linspace(1.0, 3.0, 10), 1e308),
+    # an infinite base makes every modular infinite
+    (np.array([1.0, np.inf]), 2.0, 1.0),
+    (np.array([1.0, np.inf]), np.array([1.0, 2.0]), 1.0),
+])
+def test_norm_past_float_range_is_divergence(monkeypatch, bases, exponents,
+                                             weights):
+    evaluations = count_evaluations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="exceeds"):
+            weighted_power_norm(bases, exponents, weights)
+    assert len(evaluations) <= 3
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_infinite_base_in_a_batch_is_divergence(monkeypatch, constant):
+    # beside finite rows, with and without a row holding nan
+    rng = np.random.default_rng(3)
+    exponents = 2.0 if constant else rng.uniform(1.0, 3.0, 6)
+    rows = rng.uniform(0.0, 2.0, (4, 6))
+    rows[2, 4] = np.inf
+    evaluations = count_evaluations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for batch in (rows, np.vstack([rows, np.full(6, np.nan)])):
+            with pytest.raises(DivergenceError, match="exceeds"):
+                weighted_power_norm(batch, exponents, 0.1)
+    assert evaluations == []
+
+
+# the two discrete norms as they were written before they shared a helper
+
+def per_block_lambda_norm(alpha, params):
+    v = alpha.indices
+    a = alpha.values
+    th = params.theta
+    lower = v <= 0
+    upper = ~lower
+    with np.errstate(over="ignore"):
+        s0 = float(np.sum(2.0 ** (-v[lower] * th * params.q_zero)
+                          * a[lower] ** params.q_zero))
+        s1 = float(np.sum(2.0 ** (-v[upper] * th * params.q_infinity)
+                          * a[upper] ** params.q_infinity))
+    assert math.isfinite(s0) and math.isfinite(s1)
+    return s0 ** (1.0 / params.q_zero) + s1 ** (1.0 / params.q_infinity)
+
+
+def per_block_lorentz_discrete_norm(f, p, q, V):
+    v = np.arange(-V, V + 1)
+    fstar = rearrangement(f).value_at(2.0 ** v.astype(float))
+    q0, p0 = q.p_at_zero, p.p_at_zero
+    qi, pi = q.p_at_infinity, p.p_at_infinity
+    lower = v <= 0
+    upper = ~lower
+    with np.errstate(over="ignore"):
+        s0 = float(np.sum(2.0 ** (v[lower] * q0 / p0) * fstar[lower] ** q0))
+        s1 = float(np.sum(2.0 ** (v[upper] * qi / pi) * fstar[upper] ** qi))
+    assert math.isfinite(s0) and math.isfinite(s1)
+    return s0 ** (1.0 / q0) + s1 ** (1.0 / qi)
+
+
+def _random_exponent_value(rng):
+    # exactly 1, 2 or 3 in half the draws, else uniform in [1, 6]
+    if rng.uniform() < 0.5:
+        return float(rng.choice([1.0, 2.0, 3.0]))
+    return float(rng.uniform(1.0, 6.0))
+
+
+def test_discrete_norms_match_their_block_formulas_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        V = int(rng.integers(1, 30))
+        values = 10.0 ** rng.uniform(-3.0, 3.0, 2 * V + 1)
+        values[rng.uniform(size=2 * V + 1) < 0.3] = 0.0
+        alpha = TwoSidedSequence(V, values)
+        params = LambdaNormParams(float(rng.uniform(0.01, 0.99)),
+                                  _random_exponent_value(rng),
+                                  _random_exponent_value(rng))
+        assert lambda_norm(alpha, params) == per_block_lambda_norm(alpha, params)
+
+        # piecewise exponents with distinct limits at 0 and at infinity;
+        # masses up to 2^10 leave f*(2^v) = 0 for the larger v
+        p, q = (ExponentFunction.piecewise(
+            [1.0], [_random_exponent_value(rng), _random_exponent_value(rng)])
+            for _ in range(2))
+        n = int(rng.integers(1, 7))
+        f = AtomFunction(10.0 ** rng.uniform(-3.0, 3.0, n),
+                         2.0 ** rng.uniform(-12.0, 10.0, n))
+        assert lorentz_discrete_norm(f, p, q, V) == \
+            per_block_lorentz_discrete_norm(f, p, q, V)
+
+
+def test_discrete_norms_overflow_is_divergence_without_warning():
+    # both raise with one message; tests/test_rearrange.py has the Lorentz
+    # norm with both exponents 2
+    q = ExponentFunction.constant(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="discrete modular overflowed"):
+            lambda_norm(TwoSidedSequence(2, np.full(5, 1e200)),
+                        LambdaNormParams(0.5, 2.0, 2.0))
+        with pytest.raises(DivergenceError, match="discrete modular overflowed"):
+            lambda_norm(TwoSidedSequence(2, np.array([0.0, 0.0, 1.0, 0.0, 1e200])),
+                        LambdaNormParams(0.5, 1.0, 2.0))
+        with pytest.raises(DivergenceError, match="discrete modular overflowed"):
+            lorentz_discrete_norm(AtomFunction([1e200], [64.0]),
+                                  ExponentFunction.constant(1.0), q, 4)
 
 
 def test_modular_norm_sandwich_brackets():
