@@ -25,7 +25,10 @@ norm(g) <= norm(h)), which confines optimal decompositions to the box
 between 0 and f and makes coordinate descent with line searches sound. The
 brute-force minimizer runs all its starts in lockstep: each round of a line
 search evaluates 17 points per start in one call of the couple's batch
-norms, and every row evaluated counts against its evaluation cap.
+norms, and every row evaluated counts against its evaluation cap. After the
+first sweep a line search scans a narrow bracket around each start's
+current value, and the whole box only for the starts whose minimizer may
+lie outside that bracket.
 """
 
 from __future__ import annotations
@@ -406,27 +409,39 @@ class BruteForceResult:
 _SCAN = np.arange(17) / 16.0
 # by best point, the first point of the next bracket, kept inside the scan
 _LEFT = np.clip(np.arange(17), 1, 15) - 1
+# width of a warm bracket in units of xatol: its two rounds end at a
+# spacing of at most xatol, as a scan of the whole box does
+_WARM = 128.0
 
 
-def _bracket_scan(line, rows, a, b, xatol):
-    """Minimize rows convex functions on [a, b] together; (x, value) arrays.
+def _bracket_scan(line, starts, width, lo, hi, xatol):
+    """Minimize convex functions on the brackets [s, s + width], one per
+    start s, inside the box [lo, hi]; (x, value, escaped) arrays.
 
     line maps an (rows, 17) array of points to their values, row by row.
     Each round evaluates 17 evenly spaced points of every row's bracket in
     that one call; the next bracket is the two neighbours of the best
-    point, 1/8 as wide. On a convex function the minimizer stays in the
-    bracket, so once the spacing is at most xatol the best point is within
-    xatol of it. The number of rounds depends only on b - a and xatol.
+    point, 1/8 as wide. On a convex function the minimizer over the box
+    lies between the neighbours of the first round's best point, unless
+    that point is an end of the bracket strictly inside the box: such a
+    row has escaped, and only over its bracket is its result a minimum.
+    Otherwise, once the spacing is at most xatol, the best point is within
+    xatol of the minimizer over the box. The number of rounds depends only
+    on width and xatol, and a scan of the whole box (starts lo, width
+    hi - lo) never escapes.
     """
-    start = np.full(rows, float(a))
-    width = float(b) - float(a)
-    pick = np.arange(rows)
+    start = np.asarray(starts, dtype=float)
+    pick = np.arange(len(start))
+    escaped = None
     while True:
         xs = start[:, None] + width * _SCAN
         values = line(xs)
         best = values.argmin(axis=1)
+        if escaped is None:
+            escaped = (((best == 0) & (start > lo))
+                       | ((best == 16) & (hi - start > width)))
         if width / 16.0 <= xatol:
-            return xs[pick, best], values[pick, best]
+            return xs[pick, best], values[pick, best], escaped
         start = xs[pick, _LEFT[best]]
         width /= 8.0
 
@@ -438,13 +453,15 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     Multistart coordinate descent over the box [0 ^ f] (optimal for
     absolute monotone norms), padded slightly. The starts run in lockstep:
     each coordinate update is a bracket scan (see _bracket_scan) of every
-    active start at once, in calls of the couple's batch norms. Convexity
-    makes each line search exact up to tolerance, while the restarts guard
-    against stalling on kinks of nonsmooth norms. A start stops after two
-    sweeps in a row that improve it by at most resolution (relatively), or
-    after 80 sweeps; the budget of 100,000 evaluations counts every row
-    evaluated, is shared by the starts, and a breach is reported as
-    cap_hit, not hidden.
+    active start at once, in calls of the couple's batch norms. The first
+    sweep scans the whole box; later sweeps scan a bracket 128 xatol wide
+    around each start's current coordinate, and rescan the whole box for
+    the starts that escape it. Convexity makes each line search exact up
+    to tolerance, while the restarts guard against stalling on kinks of
+    nonsmooth norms. A start stops after two sweeps in a row that improve
+    it by at most resolution (relatively), or after 80 sweeps; the budget
+    of 100,000 evaluations counts every row evaluated, is shared by the
+    starts, and a breach is reported as cap_hit, not hidden.
     """
     _require_positive(t)
     if not couple.is_vector_couple:
@@ -465,6 +482,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     lo = np.minimum(0.0, f) - pad
     hi = np.maximum(0.0, f) + pad
     xatol = max(resolution * scale * 1e-1, 1e-14)
+    warm = _WARM * xatol
 
     starts = [f.copy(), np.zeros(n), 0.5 * f]
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
@@ -479,24 +497,37 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
         evals += len(G)
         return couple.norm0_many(G, f) + t * couple.norm1_many(f - G, f)
 
+    def scan(rows, k, left, width):
+        base = g[rows]
+
+        def line(xs):
+            trial = np.repeat(base, xs.shape[1], axis=0)
+            trial[:, k] = xs.ravel()
+            return objective(trial).reshape(xs.shape)
+
+        return _bracket_scan(line, left, width, lo[k], hi[k], xatol)
+
     value = objective(g)
     active = np.arange(len(g))
     stalls = np.zeros(len(g), dtype=int)
     cap_hit = False
-    for _sweep in range(80):
+    for sweep in range(80):
         if evals > 100_000:
             cap_hit = True
             break
         prev = value[active]
         for k in range(n):
-            rows = g[active]
-
-            def line(xs, rows=rows, k=k):
-                trial = np.repeat(rows, xs.shape[1], axis=0)
-                trial[:, k] = xs.ravel()
-                return objective(trial).reshape(xs.shape)
-
-            x, fx = _bracket_scan(line, len(rows), lo[k], hi[k], xatol)
+            box = hi[k] - lo[k]
+            if sweep and warm < box:
+                # a warm bracket centred on the current value, inside the box
+                left = np.clip(g[active, k] - 0.5 * warm, lo[k], hi[k] - warm)
+                x, fx, escaped = scan(active, k, left, warm)
+                if escaped.any():
+                    out = active[escaped]
+                    x[escaped], fx[escaped], _ = scan(
+                        out, k, np.full(len(out), lo[k]), box)
+            else:
+                x, fx, _ = scan(active, k, np.full(len(active), lo[k]), box)
             better = fx <= value[active]
             g[active[better], k] = x[better]
             value[active[better]] = fx[better]

@@ -220,8 +220,9 @@ def weighted_power_norm(bases, exponents, weights):
     a Newton step there too.
 
     Raises DivergenceError for a norm above 2^996, an infinite base, a row
-    whose norm scaled by 2^-e passes the float range, or after 100 steps
-    without convergence; returns 0.0 for a norm at or below 2^-996.
+    whose norm scaled by 2^-e passes the float range, a row whose folded
+    bases all underflow while its norm may lie above 2^-996, or after 100
+    steps without convergence; returns 0.0 for a norm at or below 2^-996.
     """
     b = np.asarray(bases, dtype=float)
     rows = b.reshape(1, -1) if b.ndim < 2 else b
@@ -288,7 +289,21 @@ def _solve(b, tops, least, exponents, weights):
             for j, slope in zip(newton, slopes):
                 lam[j] *= rho[j] ** (rho[j] / slope)
         if out:
-            stepped = _log_step(c[out], q, np.array([lam[j] for j in out])).tolist()
+            folded = c[out]
+            live = folded.max(axis=1) > 0.0
+            if not live.all():
+                # every folded base of a dead row underflowed, so its scaled
+                # norm N is below m 2^-1074 (1 = sum (c_i/N)^{q_i} <= sum c_i/N);
+                # where N 2^e is then at or below the lower end, the row
+                # leaves with its norm 0.0
+                alive = live.tolist()
+                dead = [rows[j] for j, a in zip(out, alive) if not a]
+                if math.ldexp(c.shape[1] * 2.0 ** -1074, int(e[dead].max())) > _NORM_MIN:
+                    raise DivergenceError("Luxemburg norm of a row whose folded "
+                                          "bases all underflow is not resolved")
+                out = [j for j, a in zip(out, alive) if a]
+                folded = folded[live]
+            stepped = _log_step(folded, q, np.array([lam[j] for j in out])).tolist()
             # a Newton step on the convex g never passes the root, so a
             # step past the float range means the scaled norm is beyond it
             if math.inf in stepped:

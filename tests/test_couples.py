@@ -237,7 +237,9 @@ def test_bracket_scan_matches_a_dense_scan():
         def func(x):
             return curvature * (x - centre) ** 2 + slope * np.abs(x - kink)
 
-        x, fx = _bracket_scan(func, 8, a, b, xatol)
+        x, fx, escaped = _bracket_scan(func, np.full(8, a), b - a, a, b, xatol)
+        # a scan of the whole box has no inner end to escape through
+        assert not escaped.any()
         dense = np.linspace(a, b, 200_001)
         values = func(dense[None, :])
         best = values.argmin(axis=1)
@@ -250,6 +252,65 @@ def test_bracket_scan_matches_a_dense_scan():
         lipschitz = 2.0 * curvature[:, 0] * (b - a + np.abs(centre[:, 0] - a)) \
             + (slope[:, 0] if i % 2 else 0.0)
         assert np.all(fx <= values.min(axis=1) + lipschitz * (xatol + spacing))
+
+
+def test_warm_bracket_scan_escapes_exactly_through_inner_ends():
+    # warm brackets left of, around and right of the minimizer over the
+    # box, and flush with either end of it; a row escapes exactly when its
+    # first round's best point is an end of the bracket inside the box,
+    # and after a rescan of the whole box for those rows every row agrees
+    # with a dense scan
+    rng = np.random.default_rng(5)
+    # bracket start relative to the minimizer, in bracket widths; the
+    # last two rows are placed flush with lo and hi
+    offsets = np.array([-3.0, -1.0, -0.5, -0.25, 0.0, 0.5])
+    escapes = 0
+    for i in range(100):
+        a = float(rng.uniform(-5.0, 1.0))
+        b = a + float(10.0 ** rng.uniform(-4.0, 1.0))
+        centre = rng.uniform(a - 0.5, b + 0.5, 8)
+        curvature = 10.0 ** rng.uniform(-3.0, 3.0, 8)
+        kink = rng.uniform(a, b, 8)
+        # odd i: a kinked convex function, as from a sup or l1 norm
+        slope = rng.uniform(0.0, 5.0, 8) if i % 2 else np.zeros(8)
+        xatol = (b - a) * float(10.0 ** rng.uniform(-9.0, -4.0))
+        width = 128.0 * xatol
+
+        def func(x, rows=slice(None)):
+            return (curvature[rows, None] * (x - centre[rows, None]) ** 2
+                    + slope[rows, None] * np.abs(x - kink[rows, None]))
+
+        dense = np.linspace(a, b, 200_001)
+        values = func(dense[None, :])
+        best = values.argmin(axis=1)
+        spacing = dense[1] - dense[0]
+        minimizer = dense[best]
+        starts = np.clip(minimizer[:6] + offsets * width, a, b - width)
+        starts = np.concatenate([starts, [a, b - width]])
+
+        x, fx, escaped = _bracket_scan(func, starts, width, a, b, xatol)
+        first = starts[:, None] + width * np.arange(17) / 16.0
+        at = func(first).argmin(axis=1)
+        inner = ((at == 0) & (starts > a)) | ((at == 16) & (b - starts > width))
+        assert np.array_equal(escaped, inner)
+        # a bracket that ends short of the minimizer by more than the
+        # dense scan's spacing must escape
+        short = (starts + width < minimizer - 2 * spacing) \
+            | (starts > minimizer + 2 * spacing)
+        assert np.all(escaped[short])
+        escapes += int(escaped.sum())
+
+        out = np.flatnonzero(escaped)
+        if len(out):
+            x[out], fx[out], again = _bracket_scan(
+                lambda xs: func(xs, out), np.full(len(out), a), b - a, a, b, xatol)
+            assert not again.any()
+        assert np.all(np.abs(x - minimizer) <= xatol + spacing)
+        assert np.array_equal(fx, func(x[:, None])[:, 0])
+        lipschitz = 2.0 * curvature * (b - a + np.abs(centre - a)) + slope
+        assert np.all(fx <= values.min(axis=1) + lipschitz * (xatol + spacing))
+    # both outcomes occur: the far brackets escape, the others do not
+    assert 0 < escapes < 800
 
 
 def test_brute_force_counts_every_row_evaluated():
@@ -268,6 +329,10 @@ def test_brute_force_counts_every_row_evaluated():
     res = k_brute_force(c, 0.7, np.array([1.0, -2.0, 0.5]), return_details=True)
     assert res.evaluations == sum(seen[0]) == sum(seen[1])
     assert len(seen[0]) < res.evaluations / 10
+    # warm brackets after the first sweep: about half the 21,210 rows a
+    # scan of the whole box in every sweep takes, with the same value
+    assert res.evaluations < 21_210
+    assert res.value == 2.4023236891233175
 
 
 def test_batch_norms_equal_scalar_norms_bit_for_bit():

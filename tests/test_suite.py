@@ -161,6 +161,14 @@ def test_k_oracle_fails_when_brute_force_hits_its_cap(monkeypatch):
     assert not run_check("k-oracle", trials=3).passed
 
 
+
+def test_k_oracle_holds_at_a_held_out_seed():
+    # the acceptance gate runs seed 42; brute-force K must agree with the
+    # closed forms at another seed too
+    rep = run_check("k-oracle", seed=1729, trials=300)
+    assert rep.passed
+    assert rep.constant <= 1e-6
+
 # ids covering every reducer shape: worst-max (with and without drift),
 # worst-min, fraction, bracket (with and without drift), grouped spread
 INDEPENDENCE_IDS = (

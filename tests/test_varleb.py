@@ -506,6 +506,24 @@ def test_infinite_base_in_a_batch_is_divergence(monkeypatch, constant):
     assert evaluations == []
 
 
+
+@pytest.mark.parametrize("exponents", [1.0, np.array([1.0, 1.0, 1.0 + 1e-12])])
+def test_underflowing_folded_bases_give_zero(monkeypatch, exponents):
+    # every folded base b w^{1/q} underflows, so the scaled norm is below
+    # 3 * 2^-1074 and the norm, 1.5e-323, below the lower end 2^-996
+    evaluations = count_evaluations(monkeypatch)
+    assert weighted_power_norm(np.ones(3), exponents, 5e-324) == 0.0
+    assert len(evaluations) == 1
+    # in a batch, beside a row that keeps its bits
+    weights = np.array([5e-324, 5e-324, 1.0])
+    rows = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 3.0]])
+    alone = weighted_power_norm(rows[1], exponents, weights)
+    assert weighted_power_norm(rows, exponents, weights).tolist() == [0.0, alone]
+    # the same folded row scaled by 2^999 may have a norm above the lower
+    # end, which the solver cannot resolve: it says so
+    with pytest.raises(DivergenceError, match="not resolved"):
+        weighted_power_norm(np.full(3, 2.0 ** 999), exponents, 5e-324)
+
 # the two discrete norms as they were written before they shared a helper
 
 def per_block_lambda_norm(alpha, params):
