@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .couples import Couple, k_functional
 from .errors import (
+    ConfigError,
     ConstructionError,
     DivergenceError,
     InvalidExponentError,
@@ -129,7 +131,10 @@ def _build_parser():
 
 def _function_from_json(data):
     if isinstance(data, list):
-        return [float(x) for x in data]
+        vector = [float(x) for x in data]
+        if not all(map(math.isfinite, vector)):
+            raise ConfigError("vector elements must be finite")
+        return vector
     if isinstance(data, dict) and "atoms" in data:
         return AtomFunction.from_json(data)
     if isinstance(data, dict) and "values" in data:

@@ -24,11 +24,12 @@ is absolute and monotone (|g| <= |h| coordinatewise implies
 norm(g) <= norm(h)), which confines optimal decompositions to the box
 between 0 and f and makes coordinate descent with line searches sound. The
 brute-force minimizer runs all its starts in lockstep: each round of a line
-search evaluates 17 points per start in one call of the couple's batch
-norms, and every row evaluated counts against its evaluation cap. After the
-first sweep a line search scans a narrow bracket around each start's
-current value, and the whole box only for the starts whose minimizer may
-lie outside that bracket.
+search evaluates 17 points per distinct search in one call of the couple's
+batch norms, and every row evaluated counts against its evaluation cap.
+Starts that agree, bit for bit, on the other coordinates and the bracket
+share one search. After the first sweep a line search scans a narrow
+bracket around each start's current value, and the whole box only for the
+starts whose minimizer may lie outside that bracket.
 """
 
 from __future__ import annotations
@@ -190,8 +191,9 @@ class WeightedSeqCouple(Couple):
         self.ordered = bool(np.all(w0 <= w1))
 
     def norm0_many(self, G, f):
-        # ndarray.sum is np.sum without its Python-level dispatch; a row sum
-        # along the last, contiguous axis equals the sum of that row alone
+        # ndarray.sum is np.sum without its Python-level dispatch; numpy adds
+        # fewer than 8 terms in order, so with rows contiguous or not (n <= 6
+        # in brute-force K) a row sum equals the sum of that row alone
         return (self.w0 * np.abs(G)).sum(axis=-1)
 
     def norm1_many(self, G, f):
@@ -456,17 +458,29 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     active start at once, in calls of the couple's batch norms. The first
     sweep scans the whole box; later sweeps scan a bracket 128 xatol wide
     around each start's current coordinate, and rescan the whole box for
-    the starts that escape it. Convexity makes each line search exact up
-    to tolerance, while the restarts guard against stalling on kinks of
-    nonsmooth norms. A start stops after two sweeps in a row that improve
-    it by at most resolution (relatively), or after 80 sweeps; the budget
-    of 100,000 evaluations counts every row evaluated, is shared by the
-    starts, and a breach is reported as cap_hit, not hidden.
+    the starts that escape it. A line search depends only on the start's
+    other coordinates and its bracket, so starts that agree on both, bit
+    for bit, share one search; since a batch norm of a row equals that
+    row's norm alone, every start's path is the same as if it ran alone.
+    Convexity makes each line search exact up to tolerance, while the
+    restarts guard against stalling on kinks of nonsmooth norms. A start
+    stops after two sweeps in a row that improve it by at most resolution
+    (relatively), or after 80 sweeps. evaluations counts the rows actually
+    evaluated: every start once, then the trial points of each distinct
+    search. The budget of 100,000 evaluations applies to that count, is
+    shared by the starts, and a breach is reported as cap_hit, not hidden.
+    f and every extra start must be finite vectors of the same length.
     """
     _require_positive(t)
     if not couple.is_vector_couple:
         raise ConfigError("brute-force K needs a finite-dimensional couple")
     f = np.asarray(f, dtype=float)
+    extra = [np.asarray(s, dtype=float) for s in extra_starts]
+    if not np.isfinite(f).all():
+        raise ConfigError("brute-force K needs a finite vector f")
+    if any(s.shape != f.shape or not np.isfinite(s).all() for s in extra):
+        raise ConfigError("each extra start must be a finite vector "
+                          "of the length of f")
     n = len(f)
     if n > 6:
         raise CapacityError(f"brute-force K supports dimension <= 6, got {n}")
@@ -484,8 +498,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     xatol = max(resolution * scale * 1e-1, 1e-14)
     warm = _WARM * xatol
 
-    starts = [f.copy(), np.zeros(n), 0.5 * f]
-    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
+    starts = [f.copy(), np.zeros(n), 0.5 * f, *extra]
     for _ in range(n_random_starts):
         starts.append(rng.uniform(lo, hi))
     g = np.clip(np.array(starts), lo, hi)
@@ -498,14 +511,30 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
         return couple.norm0_many(G, f) + t * couple.norm1_many(f - G, f)
 
     def scan(rows, k, left, width):
-        base = g[rows]
+        # rows that agree, bit for bit, on the other coordinates and the
+        # bracket start share one search
+        keys = g[rows]
+        keys[:, k] = left
+        buf, size = keys.tobytes(), keys[0].nbytes
+        slots, distinct, search = {}, [], []
+        for pos in range(len(keys)):
+            key = buf[pos * size:(pos + 1) * size]
+            if key not in slots:
+                slots[key] = len(distinct)
+                distinct.append(pos)
+            search.append(slots[key])
+        base_t = keys[distinct].T
 
         def line(xs):
-            trial = np.repeat(base, xs.shape[1], axis=0)
-            trial[:, k] = xs.ravel()
-            return objective(trial).reshape(xs.shape)
+            # column-major trial points: a row sum over n <= 6 coordinates
+            # is then n column adds, in the same order as along a row
+            trial = np.repeat(base_t, xs.shape[1], axis=1)
+            trial[k] = xs.ravel()
+            return objective(trial.T).reshape(xs.shape)
 
-        return _bracket_scan(line, left, width, lo[k], hi[k], xatol)
+        x, fx, escaped = _bracket_scan(line, left[distinct], width,
+                                       lo[k], hi[k], xatol)
+        return x[search], fx[search], escaped[search]
 
     value = objective(g)
     active = np.arange(len(g))

@@ -516,7 +516,8 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
         def make_norm(theta_i, q_i):
             # t_j^{-theta} K(t_j, g) for every row g of G is |G| @ kernel
             kernel = (cost * ts[:, None] ** -theta_i).T
-            q_values = exponent_values(q_i, grid_in)
+            q_values = (q_i.p_at_zero if q_i.is_constant
+                        else exponent_values(q_i, grid_in))
 
             def nrm(G):
                 return weighted_power_norm(np.abs(G) @ kernel, q_values,

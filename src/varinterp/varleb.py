@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError, GridMismatchError
-from .exponents import essential_bounds, exponent_values
+from .exponents import ExponentFunction, essential_bounds, exponent_values
 
 __all__ = [
     "DEFAULT_GRID",
@@ -333,12 +333,13 @@ def luxemburg_norm(phi, q):
     """Luxemburg norm of a sampled function for exponent q.
 
     The modular at scale lam is sum du (phi_i / lam)^{q_i}, so this is
-    weighted_power_norm of the samples, the exponent on the grid and du. It
-    raises DivergenceError for a norm above about 1e300 and returns 0.0 for
-    one below about 1e-300.
+    weighted_power_norm of the samples, the exponent on the grid and du; a
+    constant exponent goes in as a scalar. It raises DivergenceError for a
+    norm above about 1e300 and returns 0.0 for one below about 1e-300.
     """
-    return weighted_power_norm(phi.values, exponent_values(q, phi.grid),
-                               phi.grid.du)
+    constant = isinstance(q, ExponentFunction) and q.is_constant
+    exponent = q.p_at_zero if constant else exponent_values(q, phi.grid)
+    return weighted_power_norm(phi.values, exponent, phi.grid.du)
 
 
 @dataclass(frozen=True)

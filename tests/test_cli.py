@@ -106,6 +106,17 @@ def test_kfunc_command_needs_t_values(capsys):
     assert code == 2
 
 
+def test_kfunc_command_rejects_non_finite_vectors(capsys):
+    couple = '{"kind": "weighted_seq", "w0": [1, 2], "w1": [1, 0.5]}'
+    for vector in ("[NaN, 1]", "[Infinity, 1]", "[1, -Infinity]"):
+        code = main(["kfunc", "--couple", couple, "--function", vector,
+                     "--t", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_rearrange_command(capsys):
     code = main(["rearrange", "--function",
                  '{"atoms": [[1.0, 0.5], [3.0, 0.5], [2.0, 0.75]]}'])

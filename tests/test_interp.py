@@ -274,12 +274,22 @@ def test_proposition_checks_umbrella():
     assert all(rep.passed for rep in reports.values())
 
 
-def test_reiteration_smoke():
+def test_reiteration_smoke(monkeypatch):
+    exponents = set()
+    solve = interp.weighted_power_norm
+
+    def recorded(bases, q, weights):
+        exponents.add(type(q))
+        return solve(bases, q, weights)
+
+    monkeypatch.setattr(interp, "weighted_power_norm", recorded)
     c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
     rep = reiteration_check(c, F2, 0.25, 0.75, 0.5, Q2,
                             inner_grid=HaarGrid(8, 4), outer_V=6,
                             base_grid=HaarGrid(12, 16), refine=False,
                             resolution=1e-6)
+    # the derived norms take the constant exponent as a scalar
+    assert exponents == {float}
     assert rep.passed
     assert rep.theta == pytest.approx(0.5)
     assert math.isfinite(rep.constant) and rep.constant >= 1.0

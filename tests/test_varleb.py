@@ -169,6 +169,14 @@ def test_luxemburg_solver_matches_plain_bisection_in_few_evaluations(monkeypatch
         return terms(c, q, lam)
 
     monkeypatch.setattr(varleb, "_modular_terms", counted)
+    exponents = []
+    solve = varleb.weighted_power_norm
+
+    def recorded(bases, q, weights):
+        exponents.append(q)
+        return solve(bases, q, weights)
+
+    monkeypatch.setattr(varleb, "weighted_power_norm", recorded)
     rng = np.random.default_rng(7)
     q_var = ExponentFunction.from_expression("1.5 + 1/log(e + 1/t)",
                                              p_at_zero=1.5, p_at_infinity=2.5)
@@ -191,6 +199,8 @@ def test_luxemburg_solver_matches_plain_bisection_in_few_evaluations(monkeypatch
             assert 1 <= len(evaluations) <= 8
         assert got == pytest.approx(plain_bisection(rho), rel=1e-12)
         assert luxemburg_norm(SampledFunction(GRID, values), q) == got
+        # a constant exponent reaches the solver as a scalar
+        assert isinstance(exponents.pop(), float) == q.is_constant
 
 
 def test_luxemburg_constant_exponent_past_underflow():
