@@ -9,8 +9,6 @@ from varinterp import (
     AtomFunction,
     ExponentFunction,
     HaarGrid,
-    LambdaNormParams,
-    TwoSidedSequence,
     lambda_norm,
     lorentz_norm,
     rearrangement,
@@ -35,10 +33,10 @@ p2 = ExponentFunction.constant(2.0)
 chi = AtomFunction([1.0], [1.0])
 print(f"Lorentz norm of a unit indicator: {lorentz_norm(chi, p2, q2, grid):.6f}")
 
-# The dyadic counterpart weighs a two-sided sequence by 2^{-v theta} with
-# split exponents for the two half-axes; alpha = (2, 1, 2) on v in
-# {-1, 0, 1} at theta = 1/2, q(0) = 2, q_inf = 3 gives 3 + sqrt(2) by hand.
-seq = TwoSidedSequence(1, np.array([2.0, 1.0, 2.0]))
-value = lambda_norm(seq, LambdaNormParams(0.5, 2.0, 3.0))
+# The dyadic counterpart weighs a two-sided sequence alpha_{-V}, ..., alpha_V,
+# a plain array of length 2V + 1, by 2^{-v theta} with split exponents for
+# the two half-axes; alpha = (2, 1, 2) on v in {-1, 0, 1} at theta = 1/2,
+# q(0) = 2, q_inf = 3 gives 3 + sqrt(2) by hand.
+value = lambda_norm(np.array([2.0, 1.0, 2.0]), 0.5, 2.0, 3.0)
 print(f"dyadic lambda norm of (2, 1, 2): {value:.12f} "
       f"(by hand: {3 + 2 ** 0.5:.12f})")

@@ -28,9 +28,7 @@ from .exponents import (
 )
 from .varleb import (
     HaarGrid,
-    LambdaNormParams,
     SampledFunction,
-    TwoSidedSequence,
     lambda_norm,
     luxemburg_norm,
     modular,
@@ -68,7 +66,6 @@ from .interp import (
     construct_j_representation,
     density_check,
     embedding_checks,
-    j_norm_discrete,
     k_norm_continuous,
     k_norm_discrete,
     k_norm_sup,
@@ -114,13 +111,11 @@ __all__ = [
     "InvalidExponentError",
     "JRepresentation",
     "KMethodParams",
-    "LambdaNormParams",
     "LinearOperatorSpec",
     "LogHolderReport",
     "NormSpec",
     "RearrangementProfile",
     "SampledFunction",
-    "TwoSidedSequence",
     "VarInterpError",
     "apply_operator",
     "class_membership_check",
@@ -136,7 +131,6 @@ __all__ = [
     "hardy_discrete_check",
     "instance_rng",
     "j_functional",
-    "j_norm_discrete",
     "k_brute_force",
     "k_functional",
     "k_functional_many",

@@ -16,7 +16,8 @@ JSON by its ``kind``:
   small), given as `NormSpec`s or callables that map a (B, n) array to the
   B norms of its rows. No closed form; K is computed by the brute-force
   minimizer below, which is also the independent oracle for the closed
-  forms of the other two classes.
+  forms of the other two classes. Its one loop over t, warm-started at
+  the last minimizer, is `GenericCouple.brute_force_many`.
 
 Decompositions and batch norms work on value arrays: a row is a vector of
 R^n, or the atom values of a function on the atoms of f. Every norm here
@@ -281,8 +282,9 @@ class GenericCouple(Couple):
     """Two norms on R^n, each a NormSpec or a callable; K by brute force.
 
     Each norm maps a (B, n) array to the (B,) array of the norms of its
-    rows; norm0(f) and norm1(f) are the case B = 1. A brute-force K that
-    hits its evaluation cap raises CapacityError.
+    rows; norm0(f) and norm1(f) are the case B = 1. brute_force_many
+    flags a t whose brute-force K hit its evaluation cap; k_many and
+    decompose_many raise CapacityError for it.
     """
 
     kind = "finite_generic"
@@ -301,29 +303,39 @@ class GenericCouple(Couple):
     def norm1_many(self, G, f):
         return self.norms[1](G)
 
-    def _brute_force_many(self, ts, f):
-        """Brute-force K and minimizers at increasing t, each warm-started
-        at the last minimizer; (values, minimizers) in the order of ts."""
+    def brute_force_many(self, ts, f, *, resolution=1e-8, n_random_starts=8):
+        """Brute-force K (see k_brute_force) at every t in ascending order,
+        the first cold and each later one warm-started at the last
+        minimizer; (values, minimizers, cap_hits) in the order of ts, where
+        cap_hits flags the t whose search hit its evaluation cap."""
         f = np.asarray(f, dtype=float)
         values = np.empty(len(ts))
         minimizers = np.empty((len(ts), len(f)))
+        cap_hits = np.zeros(len(ts), dtype=bool)
         warm = ()
         for pos in np.argsort(ts):
-            t = float(ts[pos])
-            result = k_brute_force(self, t, f, extra_starts=warm,
-                                   return_details=True)
-            if result.cap_hit:
-                raise CapacityError(f"brute-force K hit its evaluation cap at t={t:g}")
+            result = k_brute_force(self, float(ts[pos]), f,
+                                   resolution=resolution,
+                                   n_random_starts=n_random_starts,
+                                   extra_starts=warm, return_details=True)
             values[pos] = result.value
             minimizers[pos] = result.minimizer
+            cap_hits[pos] = result.cap_hit
             warm = (result.minimizer,)
+        return values, minimizers, cap_hits
+
+    def _brute_force_checked(self, ts, f):
+        values, minimizers, cap_hits = self.brute_force_many(ts, f)
+        if cap_hits.any():
+            t = float(np.min(ts[cap_hits]))
+            raise CapacityError(f"brute-force K hit its evaluation cap at t={t:g}")
         return values, minimizers
 
     def k_many(self, ts, f):
-        return self._brute_force_many(ts, f)[0]
+        return self._brute_force_checked(ts, f)[0]
 
     def decompose_many(self, ts, f):
-        f0 = self._brute_force_many(ts, f)[1]
+        f0 = self._brute_force_checked(ts, f)[1]
         return f0, np.asarray(f, dtype=float) - f0
 
     def reversed(self):
@@ -351,6 +363,11 @@ def _require_positive(t):
         raise DomainError("the functional parameter t must be a finite positive real")
 
 
+def _require_finite(couple, f):
+    if couple.is_vector_couple and not np.isfinite(np.asarray(f, dtype=float)).all():
+        raise ConfigError("a vector of a vector couple must be finite")
+
+
 def norm_sum(couple, f):
     """Norm of f in A0 + A1, which equals K(1, f)."""
     return k_functional(couple, 1.0, f)
@@ -368,16 +385,19 @@ def k_functional(couple, t, f):
 
 
 def k_functional_many(couple, ts, f):
-    """K(t, f) for an array of t values, sharing work across them."""
+    """K(t, f) for an array of t values, sharing work across them; the
+    vector f of a vector couple must be finite (ConfigError otherwise)."""
     ts = np.asarray(ts, dtype=float)
     if (ts <= 0).any() or not np.isfinite(ts).all():
         raise DomainError("the functional parameter t must be a finite positive real")
+    _require_finite(couple, f)
     return couple.k_many(ts, f)
 
 
 def decompose(couple, t, f):
     """A near-optimal split f = f0 + f1 realizing K(t, f), as elements."""
     _require_positive(t)
+    _require_finite(couple, f)
     f0, f1 = couple.decompose_many(np.array([float(t)]), f)
     return couple.element(f0[0], f), couple.element(f1[0], f)
 

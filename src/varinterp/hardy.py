@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .exponents import _log_holder_endpoints
-from .varleb import SampledFunction, TwoSidedSequence, luxemburg_norm
+from .varleb import SampledFunction, _two_sided, luxemburg_norm
 
 __all__ = [
     "HardyInstance",
@@ -40,7 +40,8 @@ __all__ = [
 @dataclass(frozen=True)
 class HardyInstance:
     """Inputs of the discrete Hardy check: ratio a, exponent q (a number or
-    a constant exponent) and data epsilon, a TwoSidedSequence."""
+    a constant exponent) and data epsilon, an array eps_{-V}, ..., eps_V of
+    length 2V + 1 >= 3 with finite nonnegative entries."""
 
     a: float
     q: object
@@ -51,6 +52,7 @@ class HardyInstance:
             raise ConfigError("the ratio a must lie in (0, 1)")
         if isinstance(self.q, (int, float)) and not self.q > 0.0:
             raise ConfigError("the exponent q must be positive")
+        object.__setattr__(self, "epsilon", _two_sided(self.epsilon))
 
 
 def _sequence_norm(x, q):
@@ -89,12 +91,10 @@ def hardy_discrete_check(instance):
     if q <= 0:
         raise ConfigError("q must be positive")
     eps = instance.epsilon
-    if not isinstance(eps, TwoSidedSequence):
-        raise ConfigError("discrete instances carry a TwoSidedSequence epsilon")
-    k = eps.indices
+    k = np.arange(len(eps))
     kernel = a ** np.abs(k[:, None] - k[None, :])
-    delta = kernel @ eps.values
-    norm_eps = _sequence_norm(eps.values, q)
+    delta = kernel @ eps
+    norm_eps = _sequence_norm(eps, q)
     norm_delta = _sequence_norm(delta, q)
     constant = norm_delta / norm_eps if norm_eps > 0 else 0.0
     if q >= 1.0:

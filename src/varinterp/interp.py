@@ -22,22 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couples import (
-    Couple,
-    j_functional,
-    k_brute_force,
-    k_functional,
-    k_functional_many,
-)
+from .couples import Couple, j_functional, k_functional, k_functional_many
 from .errors import CapacityError, ConfigError, ConstructionError
 from .exponents import ExponentFunction, essential_bounds, exponent_values
 from .rearrange import lorentz_norm
 from .varleb import (
     DEFAULT_GRID,
     HaarGrid,
-    LambdaNormParams,
     SampledFunction,
-    TwoSidedSequence,
     lambda_norm,
     luxemburg_norm,
     weighted_power_norm,
@@ -52,7 +44,6 @@ __all__ = [
     "EmbeddingReport",
     "JRepresentation",
     "construct_j_representation",
-    "j_norm_discrete",
     "kj_equivalence_check",
     "KJEquivalenceReport",
     "density_check",
@@ -96,9 +87,8 @@ def k_norm_continuous(couple, f, params):
 def k_norm_discrete(couple, f, theta, q_zero, q_infinity, V):
     """Two-sided dyadic K-method norm with limit exponents only."""
     ts = 2.0 ** np.arange(-V, V + 1).astype(float)
-    alpha = k_functional_many(couple, ts, f)
-    return lambda_norm(TwoSidedSequence(V, alpha),
-                       LambdaNormParams(theta, q_zero, q_infinity))
+    return lambda_norm(k_functional_many(couple, ts, f), theta, q_zero,
+                       q_infinity)
 
 
 def k_norm_sup(couple, f, theta, grid):
@@ -210,12 +200,6 @@ def construct_j_representation(couple, f, V):
                            bool(worst <= 3.03))
 
 
-def j_norm_discrete(representation, theta, q_zero, q_infinity):
-    """Discrete J-method norm of a representation."""
-    return lambda_norm(TwoSidedSequence(representation.V, representation.j_values),
-                       LambdaNormParams(theta, q_zero, q_infinity))
-
-
 @dataclass(frozen=True)
 class KJEquivalenceReport:
     k_discrete: float
@@ -241,9 +225,8 @@ def kj_equivalence_check(couple, f, params, *, V=None):
     q0 = params.q.p_at_zero
     qi = params.q.p_at_infinity
     rep = construct_j_representation(couple, f, V)
-    kd = lambda_norm(TwoSidedSequence(V, rep.k_values),
-                     LambdaNormParams(theta, q0, qi))
-    jd = j_norm_discrete(rep, theta, q0, qi)
+    kd = lambda_norm(rep.k_values, theta, q0, qi)
+    jd = lambda_norm(rep.j_values, theta, q0, qi)
     kc = k_norm_continuous(couple, f, params)
     ratio = jd / kd if kd > 0 else 0.0
     forward = kc / jd if jd > 0 else 0.0
@@ -475,22 +458,21 @@ class ReiterationReport:
     passed: bool
 
 
-def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
+def reiteration_check(couple, f, theta0, theta1, eta, q, *,
                       inner_grid=None, outer_V=10, base_grid=None,
                       refine=True, resolution=1e-7):
     """Interpolate between two interpolation spaces of the same couple.
 
-    Builds X_i = (A0, A1)_{theta_i, q_i} as a derived generic couple whose
+    Builds X_i = (A0, A1)_{theta_i, q} as a derived generic couple whose
     norms are the continuous K-method norms on an inner grid, evaluates the
-    outer discrete norm of f in (X_0, X_1)_{eta, q} by brute-force K, and
-    compares with the direct norm at theta = (1-eta) theta0 + eta theta1.
+    outer discrete norm of f in (X_0, X_1)_{eta, q} by the couple's
+    brute-force K at t = 2^-outer_V, ..., 2^outer_V, one random start each,
+    and compares with the direct norm at theta = (1-eta) theta0 + eta theta1.
     The couple must be a weighted sequence couple: K is linear in |g|
     there, so a derived norm of a batch of g is one matrix product and one
     batched Luxemburg solve.
-    The outer exponent q is treated as a free input; no relation between q
-    and (q0, q1) is enforced. The equivalence constant should be stable
-    when the inner grid is refined. A brute-force K that hits its
-    evaluation cap fails the check.
+    The equivalence constant should be stable when the inner grid is
+    refined. A brute-force K that hits its evaluation cap fails the check.
     """
     if not couple.is_vector_couple:
         raise ConfigError("reiteration_check needs a finite-dimensional couple")
@@ -499,10 +481,6 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
         raise CapacityError("reiteration supports dimension <= 4")
     if not 0.0 < eta < 1.0 or not 0.0 < theta0 < theta1 < 1.0:
         raise ConfigError("need 0 < theta0 < theta1 < 1 and eta in (0, 1)")
-    if q0 is None:
-        q0 = q
-    if q1 is None:
-        q1 = q
     if inner_grid is None:
         inner_grid = HaarGrid(12, 8)
     if base_grid is None:
@@ -512,34 +490,24 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, q0=None, q1=None, *,
     def outer_norm_on(grid_in):
         ts = grid_in.nodes
         cost = couple.k_weights(ts)
+        q_values = (q.p_at_zero if q.is_constant
+                    else exponent_values(q, grid_in))
 
-        def make_norm(theta_i, q_i):
+        def make_norm(theta_i):
             # t_j^{-theta} K(t_j, g) for every row g of G is |G| @ kernel
             kernel = (cost * ts[:, None] ** -theta_i).T
-            q_values = (q_i.p_at_zero if q_i.is_constant
-                        else exponent_values(q_i, grid_in))
 
             def nrm(G):
                 return weighted_power_norm(np.abs(G) @ kernel, q_values,
                                            grid_in.du)
             return nrm
 
-        derived = Couple.finite_generic(make_norm(theta0, q0), make_norm(theta1, q1))
-        js = np.arange(-outer_V, outer_V + 1)
-        alpha = np.empty(len(js))
-        warm = None
-        cap_hit = False
-        for idx, j in enumerate(js):
-            res = k_brute_force(derived, float(2.0 ** j), f,
-                                resolution=resolution, n_random_starts=1,
-                                extra_starts=() if warm is None else (warm,),
-                                return_details=True)
-            alpha[idx] = res.value
-            warm = res.minimizer
-            cap_hit |= res.cap_hit
-        norm = lambda_norm(TwoSidedSequence(outer_V, alpha),
-                           LambdaNormParams(eta, q.p_at_zero, q.p_at_infinity))
-        return norm, cap_hit
+        derived = Couple.finite_generic(make_norm(theta0), make_norm(theta1))
+        alpha, _, cap_hits = derived.brute_force_many(
+            2.0 ** np.arange(-outer_V, outer_V + 1), f,
+            resolution=resolution, n_random_starts=1)
+        return (lambda_norm(alpha, eta, q.p_at_zero, q.p_at_infinity),
+                bool(cap_hits.any()))
 
     # the outer norm first: it raises ConfigError for a couple without
     # k_weights before the base norm is spent on it

@@ -69,7 +69,6 @@ from .varleb import (
     DEFAULT_GRID,
     HaarGrid,
     SampledFunction,
-    TwoSidedSequence,
     luxemburg_norm,
     modular,
     modular_norm_sandwich,
@@ -111,8 +110,8 @@ def _log_exponent(c, d):
         f"{c} + {d}/log(e + 1/t)", p_at_zero=c, p_at_infinity=c + d)
 
 
-def _rand_variable_exponent(rng, lo=1.2, hi=3.0, equal_limits=False):
-    c = float(rng.uniform(lo, hi))
+def _rand_variable_exponent(rng, lo=1.2, equal_limits=False):
+    c = float(rng.uniform(lo, 3.0))
     d = float(rng.uniform(0.3, 1.2))
     if equal_limits:
         return ExponentFunction.from_expression(
@@ -550,7 +549,7 @@ def _hardy_discrete(rng, i, config):
         q = float(rng.uniform(1.0, 4.0))
     V = 24
     values = rng.uniform(0.0, 1.0, 2 * V + 1) * (rng.random(2 * V + 1) < 0.7)
-    rep = hardy_discrete_check(HardyInstance(a, q, TwoSidedSequence(V, values)))
+    rep = hardy_discrete_check(HardyInstance(a, q, values))
     return _Outcome(rep.constant / rep.cap, rep.within_cap)
 
 
@@ -570,7 +569,7 @@ def _key_estimate(variant, rng, i, config):
     grid = config.grid
     nodes = grid.nodes
     V = grid.V
-    p = _rand_variable_exponent(rng, lo=1.5, hi=3.0)
+    p = _rand_variable_exponent(rng, lo=1.5)
     m = float(rng.uniform(1.0, 3.0))
     if variant == "at_zero":
         a, b = grid.t_min, float(2.0 ** rng.uniform(-V + 2.0, 0.0))

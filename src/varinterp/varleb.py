@@ -21,7 +21,8 @@ norm is the same, bit for bit, as when it is solved alone, so a 1-D call
 is the case B = 1. Only each row's stop test and step run in Python, on
 floats whose pow is the C library's; all else is array operations on rows.
 
-The module also provides the discrete two-sided weighted norm
+The module also provides lambda_norm(values, theta, q0, qi), the discrete
+two-sided weighted norm of a plain array alpha_{-V}, ..., alpha_V,
 
     ||alpha|| = (sum_{v<=0} 2^{-v th q0} alpha_v^{q0})^{1/q0}
               + (sum_{v>=1} 2^{-v th qi} alpha_v^{qi})^{1/qi}
@@ -39,15 +40,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError, GridMismatchError
+from .errors import ConfigError, DivergenceError, GridMismatchError
 from .exponents import ExponentFunction, essential_bounds, exponent_values
 
 __all__ = [
     "DEFAULT_GRID",
     "HaarGrid",
     "SampledFunction",
-    "TwoSidedSequence",
-    "LambdaNormParams",
     "modular",
     "luxemburg_norm",
     "weighted_power_norm",
@@ -397,47 +396,16 @@ def modular_norm_sandwich(phi, q):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoSidedSequence:
-    """Nonnegative sequence alpha_v indexed by v = -V .. V."""
-
-    V: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if self.V < 1:
-            raise ConfigError("TwoSidedSequence needs V >= 1")
-        if values.shape != (2 * self.V + 1,):
-            raise GridMismatchError(
-                f"expected {2 * self.V + 1} entries for V={self.V}, got {values.shape}")
-        if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-            raise ConfigError("sequence entries must be finite and nonnegative")
-
-    @property
-    def indices(self):
-        return np.arange(-self.V, self.V + 1)
-
-    def value_at(self, v):
-        if not -self.V <= v <= self.V:
-            raise DomainError(f"index {v} outside [-{self.V}, {self.V}]")
-        return float(self.values[v + self.V])
-
-
-@dataclass(frozen=True)
-class LambdaNormParams:
-    theta: float
-    q_zero: float
-    q_infinity: float
-
-    def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError("theta must lie in (0, 1)")
-        if self.q_zero < 1.0 or self.q_infinity < 1.0:
-            raise ConfigError("q_zero and q_infinity must be >= 1")
-        if not (math.isfinite(self.q_zero) and math.isfinite(self.q_infinity)):
-            raise ConfigError("q_zero and q_infinity must be finite")
+def _two_sided(values):
+    """values as a float array alpha_v, v = -V..V, of length 2V + 1 >= 3,
+    finite and nonnegative."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or len(values) < 3 or len(values) % 2 == 0:
+        raise GridMismatchError(
+            f"expected 2V + 1 >= 3 entries for v = -V..V, got {values.shape}")
+    if np.any(values < 0.0) or not np.all(np.isfinite(values)):
+        raise ConfigError("sequence entries must be finite and nonnegative")
+    return values
 
 
 def _two_block_norm(v, log_weights, a, q0, qi):
@@ -454,13 +422,19 @@ def _two_block_norm(v, log_weights, a, q0, qi):
     return s0 ** (1.0 / q0) + s1 ** (1.0 / qi)
 
 
-def lambda_norm(alpha, params):
+def lambda_norm(values, theta, q_zero, q_infinity):
     """Two-sided discrete norm with weights 2^{-v theta q} split at v = 0.
 
-    Indices v <= 0 use exponent q_zero, indices v >= 1 use q_infinity; the
-    result is the sum of the two block norms.
+    values holds alpha_{-V}, ..., alpha_V, so V comes from its length
+    2V + 1. Indices v <= 0 use exponent q_zero, indices v >= 1 use
+    q_infinity; the result is the sum of the two block norms.
     """
-    v = alpha.indices
-    th, q0, qi = params.theta, params.q_zero, params.q_infinity
-    return _two_block_norm(v, np.where(v <= 0, -v * th * q0, -v * th * qi),
-                           alpha.values, q0, qi)
+    alpha = _two_sided(values)
+    if not 0.0 < theta < 1.0:
+        raise ConfigError("theta must lie in (0, 1)")
+    if not (1.0 <= q_zero < math.inf and 1.0 <= q_infinity < math.inf):
+        raise ConfigError("q_zero and q_infinity must be finite and >= 1")
+    v = np.arange(len(alpha)) - len(alpha) // 2
+    return _two_block_norm(v, np.where(v <= 0, -v * theta * q_zero,
+                                       -v * theta * q_infinity),
+                           alpha, q_zero, q_infinity)

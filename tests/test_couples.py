@@ -209,14 +209,35 @@ def test_generic_couple_raises_when_brute_force_hits_its_cap(monkeypatch):
     k_functional_many(c, [0.5, 2.0], f)
     decompose(c, 2.0, f)
 
-    def capped(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), cap_hit=True)
+    def capped(couple, t, *args, **kwargs):
+        return dataclasses.replace(real(couple, t, *args, **kwargs),
+                                   cap_hit=t >= 2.0)
 
     monkeypatch.setattr(couples, "k_brute_force", capped)
-    with pytest.raises(CapacityError):
-        k_functional_many(c, [0.5, 2.0], f)
-    with pytest.raises(CapacityError):
+    # the message names the first t, in ascending order, that hit the cap
+    with pytest.raises(CapacityError, match=r"at t=2$"):
+        k_functional_many(c, [8.0, 0.5, 2.0], f)
+    with pytest.raises(CapacityError, match=r"at t=2$"):
         decompose(c, 2.0, f)
+    # brute_force_many itself reports the hits and raises nothing
+    values, minimizers, cap_hits = c.brute_force_many(np.array([8.0, 0.5, 2.0]), f)
+    assert cap_hits.tolist() == [True, False, True]
+    assert values.shape == (3,) and minimizers.shape == (3, 2)
+
+
+def test_vector_couples_reject_non_finite_vectors():
+    vector_couples = [
+        Couple.weighted_seq([1.0, 2.0], [1.0, 0.5]),
+        Couple.finite_generic(NormSpec(2.0, [1.0, 1.0]), NormSpec(1.0, [1.0, 2.0])),
+    ]
+    for c in vector_couples:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="must be finite"):
+                k_functional(c, 1.0, [bad, 1.0])
+            with pytest.raises(ConfigError, match="must be finite"):
+                k_functional_many(c, [0.5, 2.0], np.array([1.0, bad]))
+            with pytest.raises(ConfigError, match="must be finite"):
+                decompose(c, 1.0, [bad, 1.0])
 
 
 def test_bracket_scan_matches_a_dense_scan():

@@ -6,10 +6,10 @@ import pytest
 from varinterp import (
     ConfigError,
     ExponentFunction,
+    GridMismatchError,
     HaarGrid,
     HardyInstance,
     SampledFunction,
-    TwoSidedSequence,
     hardy_continuous_check,
     hardy_discrete_check,
     key_estimate_check,
@@ -22,7 +22,7 @@ Q2 = ExponentFunction.constant(2.0)
 def impulse(V=24):
     values = np.zeros(2 * V + 1)
     values[V] = 1.0
-    return TwoSidedSequence(V, values)
+    return values
 
 
 def test_hardy_instance_validation():
@@ -32,6 +32,15 @@ def test_hardy_instance_validation():
         HardyInstance(0.0, 2.0, impulse())
     with pytest.raises(ConfigError):
         HardyInstance(0.5, 0.0, impulse())
+    # epsilon is eps_{-V}, ..., eps_V: finite, nonnegative, of length 2V + 1 >= 3
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        eps = impulse()
+        eps[3] = bad
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            HardyInstance(0.5, 2.0, eps)
+    for eps in (np.ones(4), np.ones(1), np.ones((3, 3))):
+        with pytest.raises(GridMismatchError):
+            HardyInstance(0.5, 2.0, eps)
 
 
 def test_hardy_discrete_impulse_q1():
@@ -71,7 +80,7 @@ def test_hardy_discrete_sub_one_exponent_cap():
 
 def test_hardy_discrete_zero_sequence():
     V = 8
-    rep = hardy_discrete_check(HardyInstance(0.3, 2.0, TwoSidedSequence(V, np.zeros(2 * V + 1))))
+    rep = hardy_discrete_check(HardyInstance(0.3, 2.0, np.zeros(2 * V + 1)))
     assert rep.constant == 0.0
     assert rep.within_cap
 

@@ -18,17 +18,19 @@ from varinterp import (
     construct_j_representation,
     density_check,
     embedding_checks,
-    j_norm_discrete,
+    k_brute_force,
     k_norm_continuous,
     k_norm_discrete,
     k_norm_sup,
     kj_equivalence_check,
+    lambda_norm,
     lorentz_identification_check,
     norm_intersection,
     proposition_checks,
     reiteration_check,
 )
-from varinterp import interp
+from varinterp import couples, interp
+from varinterp.exponents import exponent_values
 from varinterp.interp import (
     prop_equal_limits,
     prop_exponent_monotone,
@@ -172,7 +174,7 @@ def test_j_norm_discrete_single_term():
     j_values = np.array([0.0] * V + [norm_intersection(WS, u0)] + [0.0] * V)
     rep = JRepresentation(V, terms, np.zeros(2 * V + 1), j_values,
                           np.zeros(2 * V + 1), 0.0, True)
-    got = j_norm_discrete(rep, 0.5, 2.0, 2.0)
+    got = lambda_norm(rep.j_values, 0.5, 2.0, 2.0)
     assert got == pytest.approx(norm_intersection(WS, u0), rel=1e-14)
 
 
@@ -296,7 +298,7 @@ def test_reiteration_smoke(monkeypatch):
 
 
 def test_reiteration_fails_when_brute_force_hits_its_cap(monkeypatch):
-    real = interp.k_brute_force
+    real = couples.k_brute_force
     c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
 
     def run():
@@ -309,8 +311,82 @@ def test_reiteration_fails_when_brute_force_hits_its_cap(monkeypatch):
         return dataclasses.replace(real(*args, **kwargs), cap_hit=True)
 
     assert run().passed
-    monkeypatch.setattr(interp, "k_brute_force", capped)
+    monkeypatch.setattr(couples, "k_brute_force", capped)
     assert not run().passed
+
+
+def reiteration_by_per_t_loop(calls, couple, f, theta0, theta1, eta, q, *,
+                              inner_grid, outer_V, base_grid, resolution):
+    """(outer_norm, constant, refined_constant) of reiteration_check, with
+    its outer K computed by one k_brute_force call per t, each t after the
+    first warm-started at the last minimizer; calls records each call's t
+    and result."""
+    theta = (1.0 - eta) * theta0 + eta * theta1
+
+    def outer_norm_on(grid_in):
+        ts = grid_in.nodes
+        cost = couple.k_weights(ts)
+
+        def make_norm(theta_i, q_i):
+            # t_j^{-theta} K(t_j, g) for every row g of G is |G| @ kernel
+            kernel = (cost * ts[:, None] ** -theta_i).T
+            q_values = (q_i.p_at_zero if q_i.is_constant
+                        else exponent_values(q_i, grid_in))
+
+            def nrm(G):
+                return interp.weighted_power_norm(np.abs(G) @ kernel, q_values,
+                                                  grid_in.du)
+            return nrm
+
+        derived = Couple.finite_generic(make_norm(theta0, q), make_norm(theta1, q))
+        js = np.arange(-outer_V, outer_V + 1)
+        alpha = np.empty(len(js))
+        warm = None
+        for idx, j in enumerate(js):
+            res = k_brute_force(derived, float(2.0 ** j), f,
+                                resolution=resolution, n_random_starts=1,
+                                extra_starts=() if warm is None else (warm,),
+                                return_details=True)
+            calls.append((float(2.0 ** j), res))
+            alpha[idx] = res.value
+            warm = res.minimizer
+        return lambda_norm(alpha, eta, q.p_at_zero, q.p_at_infinity)
+
+    outer = outer_norm_on(inner_grid)
+    base = k_norm_continuous(couple, f, KMethodParams(theta, q, base_grid))
+    ratio = outer / base
+    ratio2 = outer_norm_on(inner_grid.refined(spo_factor=2)) / base
+    return outer, max(ratio, 1.0 / ratio), max(ratio2, 1.0 / ratio2)
+
+
+@pytest.mark.parametrize("q", [
+    Q2, ExponentFunction.from_expression("2 + 1/log(e + 1/t)",
+                                         p_at_zero=2.0, p_at_infinity=3.0)])
+def test_reiteration_matches_a_per_t_brute_force_loop_bit_for_bit(q, monkeypatch):
+    real = couples.k_brute_force
+    merged, reference = [], []
+
+    def recorded(couple, t, *args, **kwargs):
+        result = real(couple, t, *args, **kwargs)
+        merged.append((t, result))
+        return result
+
+    monkeypatch.setattr(couples, "k_brute_force", recorded)
+    c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
+    kwargs = dict(inner_grid=HaarGrid(4, 4), outer_V=4,
+                  base_grid=HaarGrid(8, 8), resolution=1e-6)
+    rep = reiteration_check(c, F2, 0.25, 0.75, 0.5, q, **kwargs)
+    assert rep.passed
+    assert (rep.outer_norm, rep.constant, rep.refined_constant) == \
+        reiteration_by_per_t_loop(reference, c, F2, 0.25, 0.75, 0.5, q, **kwargs)
+    # the same searches in the same order: each t's value, minimizer and
+    # evaluation count, which the starts and the warm start decide
+    assert len(merged) == len(reference) == 2 * 9
+    for (t, res), (t_ref, res_ref) in zip(merged, reference):
+        assert t == t_ref
+        assert (res.value, res.evaluations, res.cap_hit) == \
+            (res_ref.value, res_ref.evaluations, res_ref.cap_hit)
+        assert res.minimizer.tolist() == res_ref.minimizer.tolist()
 
 
 def test_reiteration_validation():

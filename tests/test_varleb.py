@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from varinterp import (
     AtomFunction,
+    ConfigError,
     DivergenceError,
     ExponentFunction,
     GridMismatchError,
     HaarGrid,
-    LambdaNormParams,
     SampledFunction,
-    TwoSidedSequence,
     lambda_norm,
     lorentz_discrete_norm,
     luxemburg_norm,
@@ -536,19 +535,18 @@ def test_underflowing_folded_bases_give_zero(monkeypatch, exponents):
 
 # the two discrete norms as they were written before they shared a helper
 
-def per_block_lambda_norm(alpha, params):
-    v = alpha.indices
-    a = alpha.values
-    th = params.theta
+def per_block_lambda_norm(a, th, q_zero, q_infinity):
+    V = len(a) // 2
+    v = np.arange(-V, V + 1)
     lower = v <= 0
     upper = ~lower
     with np.errstate(over="ignore"):
-        s0 = float(np.sum(2.0 ** (-v[lower] * th * params.q_zero)
-                          * a[lower] ** params.q_zero))
-        s1 = float(np.sum(2.0 ** (-v[upper] * th * params.q_infinity)
-                          * a[upper] ** params.q_infinity))
+        s0 = float(np.sum(2.0 ** (-v[lower] * th * q_zero)
+                          * a[lower] ** q_zero))
+        s1 = float(np.sum(2.0 ** (-v[upper] * th * q_infinity)
+                          * a[upper] ** q_infinity))
     assert math.isfinite(s0) and math.isfinite(s1)
-    return s0 ** (1.0 / params.q_zero) + s1 ** (1.0 / params.q_infinity)
+    return s0 ** (1.0 / q_zero) + s1 ** (1.0 / q_infinity)
 
 
 def per_block_lorentz_discrete_norm(f, p, q, V):
@@ -578,11 +576,9 @@ def test_discrete_norms_match_their_block_formulas_bit_for_bit():
         V = int(rng.integers(1, 30))
         values = 10.0 ** rng.uniform(-3.0, 3.0, 2 * V + 1)
         values[rng.uniform(size=2 * V + 1) < 0.3] = 0.0
-        alpha = TwoSidedSequence(V, values)
-        params = LambdaNormParams(float(rng.uniform(0.01, 0.99)),
-                                  _random_exponent_value(rng),
-                                  _random_exponent_value(rng))
-        assert lambda_norm(alpha, params) == per_block_lambda_norm(alpha, params)
+        params = (float(rng.uniform(0.01, 0.99)),
+                  _random_exponent_value(rng), _random_exponent_value(rng))
+        assert lambda_norm(values, *params) == per_block_lambda_norm(values, *params)
 
         # piecewise exponents with distinct limits at 0 and at infinity;
         # masses up to 2^10 leave f*(2^v) = 0 for the larger v
@@ -603,11 +599,9 @@ def test_discrete_norms_overflow_is_divergence_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match="discrete modular overflowed"):
-            lambda_norm(TwoSidedSequence(2, np.full(5, 1e200)),
-                        LambdaNormParams(0.5, 2.0, 2.0))
+            lambda_norm(np.full(5, 1e200), 0.5, 2.0, 2.0)
         with pytest.raises(DivergenceError, match="discrete modular overflowed"):
-            lambda_norm(TwoSidedSequence(2, np.array([0.0, 0.0, 1.0, 0.0, 1e200])),
-                        LambdaNormParams(0.5, 1.0, 2.0))
+            lambda_norm(np.array([0.0, 0.0, 1.0, 0.0, 1e200]), 0.5, 1.0, 2.0)
         with pytest.raises(DivergenceError, match="discrete modular overflowed"):
             lorentz_discrete_norm(AtomFunction([1e200], [64.0]),
                                   ExponentFunction.constant(1.0), q, 4)
@@ -647,37 +641,49 @@ def test_unit_ball_consistency():
 
 
 def test_two_sided_sequence_indexing():
-    seq = TwoSidedSequence(2, np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
-    assert seq.value_at(-2) == 5.0
-    assert seq.value_at(0) == 3.0
-    assert seq.value_at(2) == 1.0
-    assert np.array_equal(seq.indices, [-2, -1, 0, 1, 2])
+    # entry i of 2V + 1 values is alpha_v for v = i - V: a single nonzero
+    # entry at v contributes 2^{-v theta} alpha_v when q0 = q_inf = 1
+    values = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+    for i, v in enumerate(range(-2, 3)):
+        single = np.zeros(5)
+        single[i] = values[i]
+        assert lambda_norm(single, 0.5, 1.0, 1.0) == pytest.approx(
+            2.0 ** (-0.5 * v) * values[i], rel=1e-15)
     with pytest.raises(ValueError):
-        TwoSidedSequence(2, np.array([1.0, 2.0]))
+        lambda_norm(np.array([1.0, 2.0]), 0.5, 1.0, 1.0)
 
 
 def test_lambda_norm_hand_computed():
     # alpha = (2, 1, 2) on v in {-1, 0, 1}, theta = 1/2, q0 = 2, q_inf = 3:
     # lower block (2^1 * 4 + 1)^(1/2) = 3, upper block (2^-1.5 * 8)^(1/3) = sqrt 2
-    seq = TwoSidedSequence(1, np.array([2.0, 1.0, 2.0]))
-    val = lambda_norm(seq, LambdaNormParams(0.5, 2.0, 3.0))
+    val = lambda_norm(np.array([2.0, 1.0, 2.0]), 0.5, 2.0, 3.0)
     assert val == pytest.approx(3.0 + math.sqrt(2.0), rel=1e-14)
 
 
 def test_lambda_norm_single_blocks():
     # only v = 0 term: value = alpha_0; only v = 1: 2^{-theta} alpha_1
-    seq = TwoSidedSequence(1, np.array([0.0, 3.0, 0.0]))
-    assert lambda_norm(seq, LambdaNormParams(0.5, 2.0, 2.0)) == pytest.approx(3.0)
-    seq = TwoSidedSequence(1, np.array([0.0, 0.0, 3.0]))
-    assert lambda_norm(seq, LambdaNormParams(0.5, 2.0, 2.0)) == pytest.approx(
+    assert lambda_norm([0.0, 3.0, 0.0], 0.5, 2.0, 2.0) == pytest.approx(3.0)
+    assert lambda_norm([0.0, 0.0, 3.0], 0.5, 2.0, 2.0) == pytest.approx(
         2.0 ** -0.5 * 3.0)
 
 
 def test_lambda_norm_params_validated():
-    with pytest.raises(ValueError):
-        LambdaNormParams(1.5, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        LambdaNormParams(0.5, 0.5, 2.0)
+    # V comes from the length 2V + 1 of the values, v = -V..V in order
+    alpha = [5.0, 4.0, 3.0, 2.0, 1.0]
+    assert lambda_norm(alpha, 0.5, 1.0, 1.0) == pytest.approx(
+        (5.0 * 2.0 + 4.0 * 2.0 ** 0.5 + 3.0) + (2.0 * 2.0 ** -0.5 + 1.0 * 0.5),
+        rel=1e-15)
+    for values in ([1.0, 2.0], [1.0], [], np.ones((3, 3))):
+        with pytest.raises(GridMismatchError):
+            lambda_norm(values, 0.5, 2.0, 2.0)
+    for values in ([1.0, -1.0, 1.0], [1.0, math.nan, 1.0], [1.0, math.inf, 1.0]):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            lambda_norm(values, 0.5, 2.0, 2.0)
+    for params in ((1.5, 2.0, 2.0), (0.0, 2.0, 2.0), (math.nan, 2.0, 2.0),
+                   (0.5, 0.5, 2.0), (0.5, 2.0, 0.5), (0.5, math.inf, 2.0),
+                   (0.5, 2.0, math.nan)):
+        with pytest.raises(ConfigError):
+            lambda_norm(alpha, *params)
 
 
 @settings(max_examples=30, deadline=None)
