@@ -154,7 +154,6 @@ class JRepresentation:
     for a vector couple, values on the atoms of f for (L1, Linf).
     """
 
-    V: int
     terms: np.ndarray
     k_values: np.ndarray
     j_values: np.ndarray
@@ -196,7 +195,7 @@ def construct_j_representation(couple, f, V):
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(k_values > 0, j_values / np.maximum(k_values, 1e-300), 0.0)
     worst = float(np.max(ratios)) if len(ratios) else 0.0
-    return JRepresentation(V, terms, k_values, j_values, ratios, worst,
+    return JRepresentation(terms, k_values, j_values, ratios, worst,
                            bool(worst <= 3.03))
 
 
@@ -479,8 +478,9 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *,
     f = np.asarray(f, dtype=float)
     if len(f) > 4:
         raise CapacityError("reiteration supports dimension <= 4")
-    if not 0.0 < eta < 1.0 or not 0.0 < theta0 < theta1 < 1.0:
-        raise ConfigError("need 0 < theta0 < theta1 < 1 and eta in (0, 1)")
+    if not 0.0 < eta < 1.0 or not 0.0 < theta0 < theta1 < 1.0 or outer_V < 1:
+        raise ConfigError("need 0 < theta0 < theta1 < 1, eta in (0, 1) "
+                          "and outer_V >= 1")
     if inner_grid is None:
         inner_grid = HaarGrid(12, 8)
     if base_grid is None:

@@ -15,11 +15,11 @@ modular of the form rho(lam) = sum_i w_i (b_i / lam)^{q_i}; one solver,
 weighted_power_norm, finds inf { lam : rho(lam) <= 1 } for all of them. It
 takes Newton steps on log rho against log lam and stops once the modular
 sandwich at its iterate is narrow, which for a constant exponent is at its
-first evaluation, with rho^{1/q}. It also takes a (B, m) array of bases
-and solves the B rows together, each row stopping on its own; a row's
-norm is the same, bit for bit, as when it is solved alone, so a 1-D call
-is the case B = 1. Only each row's stop test and step run in Python, on
-floats whose pow is the C library's; all else is array operations on rows.
+first evaluation, with rho^{1/q}; a row whose rho leaves [2^-960, 2^960]
+takes the same steps in log space. It solves the B rows of a (B, m) array
+of bases together, each stopping on its own and equal, bit for bit, to
+its norm alone (a 1-D call is B = 1). Only each row's in-range stop test
+and step run in Python, with the C library's pow; all else is on arrays.
 
 The module also provides lambda_norm(values, theta, q0, qi), the discrete
 two-sided weighted norm of a plain array alpha_{-V}, ..., alpha_V,
@@ -185,18 +185,6 @@ def _modular_terms(c, q, lam):
     return c ** q if np.isscalar(lam) else (c / lam) ** q
 
 
-def _log_step(c, q, lam):
-    """Newton steps on g(s) = log rho(e^s) at lam, for rows whose modular
-    leaves the float range: log rho by log-sum-exp of q_i log(c_i / lam)."""
-    with np.errstate(divide="ignore"):
-        z = q * np.log(c / lam[:, None])
-    top = z.max(axis=1)
-    ez = np.exp(z - top[:, None])
-    total = ez.sum(axis=1)
-    qbar = (q * ez).sum(axis=1) / total
-    return lam * np.exp((top + np.log(total)) / qbar)
-
-
 def weighted_power_norm(bases, exponents, weights):
     """inf { lam > 0 : sum_i w_i (b_i / lam)^{q_i} <= 1 }.
 
@@ -214,14 +202,14 @@ def weighted_power_norm(bases, exponents, weights):
     g(s) = log rho(e^s) from lam = 1 multiply lam by rho^{1/qbar}, with
     qbar = sum q_i term_i / rho in [q-, q+], so they stay inside it. A row
     stops once its sandwich is narrower than 1e-12 relative and returns
-    its upper end; for a constant exponent that is rho(1)^{1/q}. Where rho
-    leaves [2^-960, 2^960] the step takes log rho by log-sum-exp, so it is
-    a Newton step there too.
+    its upper end; for a constant exponent that is rho(1)^{1/q}. A row
+    whose rho leaves [2^-960, 2^960], at lam = 1 or at a later step, is
+    solved by the same steps in log space instead.
 
-    Raises DivergenceError for a norm above 2^996, an infinite base, a row
-    whose norm scaled by 2^-e passes the float range, a row whose folded
-    bases all underflow while its norm may lie above 2^-996, or after 100
-    steps without convergence; returns 0.0 for a norm at or below 2^-996.
+    Raises DivergenceError for a norm above 2^996, as from an infinite
+    base, and ConfigError for a nan base, exponent or weight; returns 0.0
+    for a norm at or below 2^-996. A solve that has not converged after
+    100 steps also raises DivergenceError.
     """
     b = np.asarray(bases, dtype=float)
     rows = b.reshape(1, -1) if b.ndim < 2 else b
@@ -229,12 +217,14 @@ def weighted_power_norm(bases, exponents, weights):
     bounds = tops.tolist()
     least = min(bounds, default=0.0)
     total = sum(bounds)
-    if total == math.inf and math.inf in bounds:
+    if not total < math.inf and math.inf in bounds:
         raise DivergenceError("Luxemburg norm exceeds 1e300")
-    if least > 0.0 and not math.isnan(total):
+    if math.isnan(total):
+        raise ConfigError("Luxemburg bases must not be nan")
+    if least > 0.0:
         norms = _solve(rows, tops, least, exponents, weights)
     else:
-        # all-zero rows, and rows holding nan, come back 0.0 without a step
+        # all-zero rows come back 0.0 without a step
         live = tops > 0.0
         norms = np.zeros(len(rows))
         if live.any():
@@ -251,8 +241,8 @@ def _solve(b, tops, least, exponents, weights):
     checks are array operations over the rows. Each row's stop test and step
     run on Python floats, whose pow is the C library's (numpy's vectorized
     power differs from it in the last bit for a few percent of arguments),
-    so a row's result does not depend on the rows that share the call. An
-    overflow gives inf, which the range test on rho or the end check catches."""
+    so a row's result does not depend on the rows that share the call. A
+    row whose rho leaves the float range goes to _log_space_norms."""
     q = np.asarray(exponents, dtype=float)
     q_minus, q_plus = float(q.min()), float(q.max())
     if q_minus == q_plus:
@@ -265,14 +255,15 @@ def _solve(b, tops, least, exponents, weights):
          else np.ldexp(b, -e[:, None])) * weights ** (1.0 / q)
     his = [0.0] * len(c)
     rows = list(range(len(c)))
+    out = []
     lam = [1.0] * len(c)
     for step in range(100):
         terms = _modular_terms(c, q, 1.0 if step == 0 else np.array(lam)[:, None])
         rho = terms.sum(axis=1).tolist()
-        newton, out = [], []
+        newton = []
         for j, (r, l) in enumerate(zip(rho, lam)):
             if not _RHO_MIN <= r <= _RHO_MAX:
-                out.append(j)
+                out.append(rows[j])
                 continue
             lo = l * r ** up
             hi = lo if up == down else l * r ** down
@@ -282,50 +273,59 @@ def _solve(b, tops, least, exponents, weights):
                 newton.append(j)
                 continue
             his[rows[j]] = hi
-        if newton:
-            moved = terms if len(newton) == len(rho) else terms[newton]
-            slopes = (q * moved).sum(axis=1).tolist()
-            for j, slope in zip(newton, slopes):
-                lam[j] *= rho[j] ** (rho[j] / slope)
-        if out:
-            folded = c[out]
-            live = folded.max(axis=1) > 0.0
-            if not live.all():
-                # every folded base of a dead row underflowed, so its scaled
-                # norm N is below m 2^-1074 (1 = sum (c_i/N)^{q_i} <= sum c_i/N);
-                # where N 2^e is then at or below the lower end, the row
-                # leaves with its norm 0.0
-                alive = live.tolist()
-                dead = [rows[j] for j, a in zip(out, alive) if not a]
-                if math.ldexp(c.shape[1] * 2.0 ** -1074, int(e[dead].max())) > _NORM_MIN:
-                    raise DivergenceError("Luxemburg norm of a row whose folded "
-                                          "bases all underflow is not resolved")
-                out = [j for j, a in zip(out, alive) if a]
-                folded = folded[live]
-            stepped = _log_step(folded, q, np.array([lam[j] for j in out])).tolist()
-            # a Newton step on the convex g never passes the root, so a
-            # step past the float range means the scaled norm is beyond it
-            if math.inf in stepped:
-                raise DivergenceError("Luxemburg norm of a row scaled to max "
-                                      "in [1/2, 1) exceeds the float range")
-            for j, l in zip(out, stepped):
-                lam[j] = l
-        keep = sorted(newton + out)
-        if not keep:
+        if not newton:
             break
-        if len(keep) < len(rows):
-            c = c[keep]
-            rows = [rows[j] for j in keep]
-            lam = [lam[j] for j in keep]
+        moved = terms if len(newton) == len(rho) else terms[newton]
+        slopes = (q * moved).sum(axis=1).tolist()
+        for j, slope in zip(newton, slopes):
+            lam[j] *= rho[j] ** (rho[j] / slope)
+        if len(newton) < len(rows):
+            c = c[newton]
+            rows = [rows[j] for j in newton]
+            lam = [lam[j] for j in newton]
     else:
         raise DivergenceError("Luxemburg solver did not converge")
     norms = np.ldexp(his, e)
+    if out:
+        norms[out] = _log_space_norms(np.ldexp(b[out], -e[out, None]), e[out],
+                                      q, weights, up, down)
     ends = norms.tolist()
     if max(ends) > _NORM_MAX:
         raise DivergenceError("Luxemburg norm exceeds 1e300")
     if min(ends) <= _NORM_MIN:
         norms[norms <= _NORM_MIN] = 0.0
     return norms
+
+
+def _log_space_norms(scaled, e, q, weights, up, down):
+    """Norms 2^e N of rows whose modular leaves the float range, where
+    scaled holds a row times 2^-e and N is its norm: Newton steps on
+    g(s) = log rho(e^s) = log sum_i exp(q_i (z_i - s)), z_i = log b_i +
+    (log w_i) / q_i, from s = max z, where every term is at most 1, so
+    g >= 0 and no step passes the root of the convex g. A row stops once
+    g (1/q- - 1/q+) <= 1e-12 with s + g / q-; N = 2^k e^{s - k ln 2} may
+    pass the float range, so 2^{k+e} scales it back in one step."""
+    with np.errstate(divide="ignore"):
+        z = np.log(scaled) + np.log(weights) / q
+    if np.isnan(z).any():
+        raise ConfigError("Luxemburg weights and exponents must not be nan")
+    # a row whose positive bases all weigh 0 steps with z = 0, then gets 0.0
+    dead = z.max(axis=1) == -np.inf
+    z[dead] = 0.0
+    s = z.max(axis=1)
+    for _ in range(100):
+        terms = np.exp(q * (z - s[:, None]))
+        total = terms.sum(axis=1)
+        g = np.log(total)
+        # a stopped row keeps its s, and so its g, while the others step
+        stop = g * (down - up) <= 1e-12
+        if stop.all():
+            logs = s + g * down
+            k = np.floor(logs / LN2)
+            return np.where(dead, 0.0, np.ldexp(np.exp(logs - k * LN2),
+                                                k.astype(int) + e))
+        s = np.where(stop, s, s + g * total / (q * terms).sum(axis=1))
+    raise DivergenceError("Luxemburg solver did not converge")
 
 
 def luxemburg_norm(phi, q):

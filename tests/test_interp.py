@@ -172,7 +172,7 @@ def test_j_norm_discrete_single_term():
     V = 3
     terms = [zero] * V + [u0] + [zero] * V
     j_values = np.array([0.0] * V + [norm_intersection(WS, u0)] + [0.0] * V)
-    rep = JRepresentation(V, terms, np.zeros(2 * V + 1), j_values,
+    rep = JRepresentation(terms, np.zeros(2 * V + 1), j_values,
                           np.zeros(2 * V + 1), 0.0, True)
     got = lambda_norm(rep.j_values, 0.5, 2.0, 2.0)
     assert got == pytest.approx(norm_intersection(WS, u0), rel=1e-14)
@@ -399,6 +399,17 @@ def test_reiteration_validation():
                                     NormSpec(1.0, [3.0, 0.5]))
     with pytest.raises(ConfigError):
         reiteration_check(generic, F2, 0.25, 0.75, 0.5, Q2)
+
+
+def test_reiteration_rejects_outer_v_below_one_before_any_search(monkeypatch):
+    calls = []
+    monkeypatch.setattr(couples.GenericCouple, "brute_force_many",
+                        lambda *args, **kwargs: calls.append(args))
+    c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
+    with pytest.raises(ConfigError, match="outer_V"):
+        reiteration_check(c, F2, 0.25, 0.75, 0.5, Q2,
+                          inner_grid=HaarGrid(4, 4), outer_V=0)
+    assert calls == []
 
 
 def test_lorentz_identification_indicator():

@@ -528,10 +528,142 @@ def test_underflowing_folded_bases_give_zero(monkeypatch, exponents):
     rows = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 3.0]])
     alone = weighted_power_norm(rows[1], exponents, weights)
     assert weighted_power_norm(rows, exponents, weights).tolist() == [0.0, alone]
-    # the same folded row scaled by 2^999 may have a norm above the lower
-    # end, which the solver cannot resolve: it says so
-    with pytest.raises(DivergenceError, match="not resolved"):
-        weighted_power_norm(np.full(3, 2.0 ** 999), exponents, 5e-324)
+    # a row whose positive bases all weigh 0 has every term 0, so norm 0
+    weights[:2] = 0.0
+    rows[0] *= 2.0 ** 999
+    assert weighted_power_norm(rows, exponents, weights).tolist() == [0.0, alone]
+    # the same folded row scaled by 2^999 has a norm above the lower end,
+    # 3 * 2^-75 for q = 1, which the log-space solve finds
+    bases = np.full(3, 2.0 ** 999)
+    got = weighted_power_norm(bases, exponents, 5e-324)
+    want = reference_log_norm(bases, np.broadcast_to(exponents, 3), np.full(3, 5e-324))
+    assert abs(math.log(got) - want) <= 1e-11
+
+
+@pytest.mark.parametrize("bases, weight, norm", [
+    # huge weights on tiny bases: the row scaled to a max in [1/2, 1) has a
+    # norm past the float range
+    (np.full(10, 1e-300), 1e308, 10 * 1e-300 * 1e308),
+    # folded bases b w^{1/q} in the subnormal range
+    (np.full(3, 1e300), 5e-324, 3 * 1e300 * 5e-324),
+    # folded bases that all underflow
+    (np.full(3, 2.0 ** 999), 5e-324, 3 * 2.0 ** -75),
+])
+def test_out_of_range_rows_give_their_norms(bases, weight, norm):
+    # for q = 1 the norm is sum w_i b_i; for a variable exponent, the
+    # log-space bisection. pytest.approx would pass any value near 1e-23
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = weighted_power_norm(bases, 1.0, weight)
+        assert math.isclose(got, norm, rel_tol=1e-11, abs_tol=0.0)
+        exponents = np.linspace(1.0, 1.5, len(bases))
+        got = weighted_power_norm(bases, exponents, weight)
+    want = reference_log_norm(bases, exponents, np.full(len(bases), weight))
+    assert abs(math.log(got) - want) <= 1e-11
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_out_of_range_rows_in_a_batch_equal_rows_alone(monkeypatch, constant):
+    # a weight of 1e300 on column 0 and of 1e-300 on column 1 put a row's
+    # modular above 2^960 where column 0 holds its max, below 2^-960 where
+    # column 1 is its only nonzero entry, and inside where column 0 is 0.
+    # Every row equals its norm alone, bit for bit, and the out-of-range
+    # rows scale exactly by powers of two too
+    rng = np.random.default_rng(17)
+    m = 12
+    exponents = 1.5 if constant else rng.uniform(1.0, 4.0, m)
+    weights = 10.0 ** rng.uniform(-2.0, 2.0, m)
+    weights[:2] = 1e300, 1e-300
+    rows = 10.0 ** rng.uniform(-5.0, 5.0, (60, m))
+    rows[rng.uniform(size=rows.shape) < 0.3] = 0.0
+    rows[:10, 0] = 2.0 * rows[:10].max(axis=1)
+    rows[10:20, 0] = rows[10:20, 2:] = 0.0
+    rows[20:, 0] = 0.0
+    alone = [weighted_power_norm(row, exponents, weights) for row in rows]
+    solved = []
+    log_space = varleb._log_space_norms
+
+    def recorded(scaled, *args):
+        solved.append(len(scaled))
+        return log_space(scaled, *args)
+
+    monkeypatch.setattr(varleb, "_log_space_norms", recorded)
+    assert weighted_power_norm(rows, exponents, weights).tolist() == alone
+    assert 0 < solved[0] < len(rows)
+    for j in (-3, 5):
+        assert weighted_power_norm(np.ldexp(rows, j), exponents, weights).tolist() \
+            == [math.ldexp(a, j) for a in alone]
+
+
+def _unit(data, m):
+    return np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                       min_size=m, max_size=m)))
+
+
+def _spread_below(data, level, widest, m):
+    # level times 10^{-width u_i}, u_i in [0, 1], width in [0, widest]:
+    # entries all near the level, or spread over many decades
+    width = data.draw(st.floats(min_value=0.0, max_value=widest))
+    return level * 10.0 ** -(width * _unit(data, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_norm_ends_match_log_space_bisection(data):
+    # bases from subnormal to 1e300 with zeros; weights from 1e-320 to 1e308
+    # with subnormals, a scalar or spread below its level by up to 1e30 (far
+    # wider, a base that scales to a subnormal may dominate a row in range,
+    # which keeps its rounding); q constant or variable in [1, 50]. A norm
+    # comes back within 1e-11 in log of the bisection, a raise if and only
+    # if it is above 2^996, and 0.0 if and only if it is at or below 2^-996
+    m = data.draw(st.integers(min_value=1, max_value=8))
+    bases = _spread_below(data, data.draw(_magnitudes), 640.0, m)
+    bases[np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = 0.0
+    level = data.draw(st.one_of(
+        st.floats(min_value=-320.0, max_value=308.0).map(lambda x: 10.0 ** x),
+        st.floats(min_value=5e-324, max_value=2.2250738585072014e-308)))
+    weights = level if data.draw(st.booleans()) else \
+        np.maximum(_spread_below(data, level, 30.0, m), 5e-324)
+    # q near 1 in half the draws, where a weight w_i^{1/q_i} stays extreme
+    qa, qb = sorted(data.draw(st.lists(st.one_of(
+        st.floats(min_value=1.0, max_value=1.5),
+        st.floats(min_value=1.0, max_value=50.0)), min_size=2, max_size=2)))
+    exponents = qa if data.draw(st.booleans()) else qa + (qb - qa) * _unit(data, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = weighted_power_norm(bases, exponents, weights)
+        except DivergenceError:
+            got = math.inf
+    if not bases.any():
+        assert got == 0.0
+        return
+    want = reference_log_norm(bases, np.broadcast_to(exponents, m),
+                              np.broadcast_to(weights, m))
+    end = 996 * math.log(2.0)
+    if got == math.inf:
+        assert want > end - 1e-11
+    elif got == 0.0:
+        assert want <= -end + 1e-11
+    else:
+        assert -end - 1e-11 < want <= end + 1e-11
+        assert abs(math.log(got) - want) <= 1e-11
+
+
+@pytest.mark.parametrize("bases, exponents, weights", [
+    (np.array([np.nan, 1.0]), 2.0, 1.0),
+    # a nan row beside a row with a norm, and beside an all-zero row
+    (np.array([[1.0, 2.0], [np.nan, 1.0]]), 2.0, 1.0),
+    (np.array([[0.0, 0.0], [1.0, np.nan]]), np.array([1.0, 2.0]), 1.0),
+    (np.array([1.0, 1.0]), 2.0, np.array([np.nan, 1.0])),
+    (np.array([1.0, 2.0]), np.array([np.nan, 2.0]), 1.0),
+    (np.array([[0.0, 2.0], [1.0, 2.0]]), np.array([np.nan, 2.0]), 0.5),
+])
+def test_nan_input_is_config_error(bases, exponents, weights):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="nan"):
+            weighted_power_norm(bases, exponents, weights)
 
 # the two discrete norms as they were written before they shared a helper
 
