@@ -26,11 +26,13 @@ norm(g) <= norm(h)), which confines optimal decompositions to the box
 between 0 and f and makes coordinate descent with line searches sound. The
 brute-force minimizer runs all its starts in lockstep: each round of a line
 search evaluates 17 points per distinct search in one call of the couple's
-batch norms, and every row evaluated counts against its evaluation cap.
+batch objective cost_many, and every row evaluated counts against its
+evaluation cap.
 Starts that agree, bit for bit, on the other coordinates and the bracket
 share one search. After the first sweep a line search scans a narrow
 bracket around each start's current value, and the whole box only for the
-starts whose minimizer may lie outside that bracket.
+starts whose minimizer may lie outside that bracket. A sweep that moves none
+of a start's coordinates stops that start.
 """
 
 from __future__ import annotations
@@ -108,9 +110,11 @@ class Couple:
     Every couple has norm0(f) and norm1(f); norm0_many(G, f) and
     norm1_many(G, f), the norms of the rows of a (B, n) value array G on
     the atoms of f (vector couples ignore f), each equal to the scalar norm
-    of that row bit for bit; k_many(ts, f), K(t, f) at an array of
-    positive t; decompose_many(ts, f), the (m, n) value arrays (f0, f1) of
-    near-optimal splits f = f0 + f1 realizing K(t_j, f) in row j, with
+    of that row bit for bit; cost_many(G, f, t), brute-force K's objective,
+    equal bit for bit to norm0_many(G, f) + t norm1_many(f - G, f) for a
+    vector couple, maybe in fewer calls; k_many(ts, f), K(t, f) at an array
+    of positive t; decompose_many(ts, f), the (m, n) value arrays (f0, f1)
+    of near-optimal splits f = f0 + f1 realizing K(t_j, f) in row j, with
     f1 = f - f0; element(g, f), the element with values g on the atoms of
     f; reversed(), the couple (A1, A0); and to_json, tagged by the class
     attribute kind. The other class attributes say what a caller may rely
@@ -146,6 +150,9 @@ class Couple:
 
     def element(self, g, f):
         return g
+
+    def cost_many(self, G, f, t):
+        return self.norm0_many(G, f) + t * self.norm1_many(f - G, f)
 
     def operator_norms(self, matrix):
         """The exact norms of a matrix on A0 and on A1."""
@@ -475,7 +482,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     Multistart coordinate descent over the box [0 ^ f] (optimal for
     absolute monotone norms), padded slightly. The starts run in lockstep:
     each coordinate update is a bracket scan (see _bracket_scan) of every
-    active start at once, in calls of the couple's batch norms. The first
+    active start at once, in calls of the couple's cost_many. The first
     sweep scans the whole box; later sweeps scan a bracket 128 xatol wide
     around each start's current coordinate, and rescan the whole box for
     the starts that escape it. A line search depends only on the start's
@@ -485,11 +492,17 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     Convexity makes each line search exact up to tolerance, while the
     restarts guard against stalling on kinks of nonsmooth norms. A start
     stops after two sweeps in a row that improve it by at most resolution
-    (relatively), or after 80 sweeps. evaluations counts the rows actually
-    evaluated: every start once, then the trial points of each distinct
-    search. The budget of 100,000 evaluations applies to that count, is
-    shared by the starts, and a breach is reported as cap_hit, not hidden.
-    f and every extra start must be finite vectors of the same length.
+    (relatively), after a sweep that moves none of its coordinates, bit for
+    bit, or after 80 sweeps. After a warm sweep that stop is exact: the
+    next sweep would repeat it, with the same brackets, points and values.
+    After the cold first sweep it is not: every coordinate already beats
+    its scan of the whole box, but the warm sweep skipped may still move
+    the start slightly, and the value in its last bit. evaluations counts
+    the rows actually evaluated: every start once, then the trial points
+    of each distinct search. The budget of 100,000 evaluations applies to
+    that count, is shared by the starts, and a breach is reported as
+    cap_hit, not hidden. f and every extra start must be finite vectors of
+    the same length.
     """
     _require_positive(t)
     if not couple.is_vector_couple:
@@ -528,7 +541,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     def objective(G):
         nonlocal evals
         evals += len(G)
-        return couple.norm0_many(G, f) + t * couple.norm1_many(f - G, f)
+        return couple.cost_many(G, f, t)
 
     def scan(rows, k, left, width):
         # rows that agree, bit for bit, on the other coordinates and the
@@ -543,12 +556,11 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
                 slots[key] = len(distinct)
                 distinct.append(pos)
             search.append(slots[key])
-        base_t = keys[distinct].T
+        # column-major trial points: a row sum over n <= 6 coordinates is
+        # then n column adds, in the same order as along a row
+        trial = np.repeat(keys[distinct].T, len(_SCAN), axis=1)
 
         def line(xs):
-            # column-major trial points: a row sum over n <= 6 coordinates
-            # is then n column adds, in the same order as along a row
-            trial = np.repeat(base_t, xs.shape[1], axis=1)
             trial[k] = xs.ravel()
             return objective(trial.T).reshape(xs.shape)
 
@@ -565,6 +577,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
             cap_hit = True
             break
         prev = value[active]
+        before = g[active]
         for k in range(n):
             box = hi[k] - lo[k]
             if sweep and warm < box:
@@ -583,6 +596,9 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
         now = value[active]
         stalled = prev - now <= resolution * np.maximum(np.abs(now), 1e-300)
         stalls[active] = np.where(stalled, stalls[active] + 1, 0)
+        # a sweep that moved no coordinate, bit for bit, is the second stall
+        still = (g[active].view(np.int64) == before.view(np.int64)).all(axis=1)
+        stalls[active[still]] = 2
         active = active[stalls[active] < 2]
         if not len(active):
             break

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couples import Couple, j_functional, k_functional, k_functional_many
+from .couples import (Couple, GenericCouple, j_functional, k_functional,
+                      k_functional_many)
 from .errors import CapacityError, ConfigError, ConstructionError
 from .exponents import ExponentFunction, essential_bounds, exponent_values
 from .rearrange import lorentz_norm
@@ -457,6 +458,31 @@ class ReiterationReport:
     passed: bool
 
 
+class _KMethodCouple(GenericCouple):
+    """(X_0, X_1), X_i = (A0, A1)_{theta_i, q} normed on a grid, for a
+    weighted sequence couple: t_j^{-theta_i} K(t_j, g) for each row g of G
+    is |G| @ kernel_i. Both norms share q and du, so cost_many solves the
+    rows of both in one call."""
+
+    def __init__(self, couple, grid, q_values, thetas):
+        ts = grid.nodes
+        cost = couple.k_weights(ts)
+        self.kernels = [(cost * ts[:, None] ** -theta).T for theta in thetas]
+        self.q_values, self.du = q_values, grid.du
+
+        def norm(kernel):
+            return lambda G: weighted_power_norm(np.abs(G) @ kernel,
+                                                 q_values, grid.du)
+        super().__init__(*map(norm, self.kernels))
+
+    def cost_many(self, G, f, t):
+        kernel0, kernel1 = self.kernels
+        norms = weighted_power_norm(
+            np.concatenate([np.abs(G) @ kernel0, np.abs(f - G) @ kernel1]),
+            self.q_values, self.du)
+        return norms[:len(G)] + t * norms[len(G):]
+
+
 def reiteration_check(couple, f, theta0, theta1, eta, q, *,
                       inner_grid=None, outer_V=10, base_grid=None,
                       refine=True, resolution=1e-7):
@@ -468,8 +494,8 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *,
     brute-force K at t = 2^-outer_V, ..., 2^outer_V, one random start each,
     and compares with the direct norm at theta = (1-eta) theta0 + eta theta1.
     The couple must be a weighted sequence couple: K is linear in |g|
-    there, so a derived norm of a batch of g is one matrix product and one
-    batched Luxemburg solve.
+    there, so the brute-force objective of a batch of g, both derived norms,
+    is two matrix products and one batched Luxemburg solve.
     The equivalence constant should be stable when the inner grid is
     refined. A brute-force K that hits its evaluation cap fails the check.
     """
@@ -488,21 +514,9 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *,
     theta = (1.0 - eta) * theta0 + eta * theta1
 
     def outer_norm_on(grid_in):
-        ts = grid_in.nodes
-        cost = couple.k_weights(ts)
         q_values = (q.p_at_zero if q.is_constant
                     else exponent_values(q, grid_in))
-
-        def make_norm(theta_i):
-            # t_j^{-theta} K(t_j, g) for every row g of G is |G| @ kernel
-            kernel = (cost * ts[:, None] ** -theta_i).T
-
-            def nrm(G):
-                return weighted_power_norm(np.abs(G) @ kernel, q_values,
-                                           grid_in.du)
-            return nrm
-
-        derived = Couple.finite_generic(make_norm(theta0), make_norm(theta1))
+        derived = _KMethodCouple(couple, grid_in, q_values, (theta0, theta1))
         alpha, _, cap_hits = derived.brute_force_many(
             2.0 ** np.arange(-outer_V, outer_V + 1), f,
             resolution=resolution, n_random_starts=1)

@@ -14,12 +14,13 @@ Every norm here, and the variable Lorentz norms of rearrange.py, has a
 modular of the form rho(lam) = sum_i w_i (b_i / lam)^{q_i}; one solver,
 weighted_power_norm, finds inf { lam : rho(lam) <= 1 } for all of them. It
 takes Newton steps on log rho against log lam and stops once the modular
-sandwich at its iterate is narrow, which for a constant exponent is at its
-first evaluation, with rho^{1/q}; a row whose rho leaves [2^-960, 2^960]
+sandwich at its iterate is narrow; a row whose rho leaves [2^-960, 2^960]
 takes the same steps in log space. It solves the B rows of a (B, m) array
 of bases together, each stopping on its own and equal, bit for bit, to
-its norm alone (a 1-D call is B = 1). Only each row's in-range stop test
-and step run in Python, with the C library's pow; all else is on arrays.
+its norm alone (a 1-D call is B = 1). A constant exponent's sandwich is
+the point rho^{1/q}, so it finishes after the modular at lam = 1. Only
+each row's root, stop test and step run in Python, with the C library's
+pow; all else is on arrays.
 
 The module also provides lambda_norm(values, theta, q0, qi), the discrete
 two-sided weighted norm of a plain array alpha_{-V}, ..., alpha_V,
@@ -202,14 +203,16 @@ def weighted_power_norm(bases, exponents, weights):
     g(s) = log rho(e^s) from lam = 1 multiply lam by rho^{1/qbar}, with
     qbar = sum q_i term_i / rho in [q-, q+], so they stay inside it. A row
     stops once its sandwich is narrower than 1e-12 relative and returns
-    its upper end; for a constant exponent that is rho(1)^{1/q}. A row
+    its upper end. For a constant exponent the sandwich is the point
+    rho(1)^{1/q}, so every row finishes after the modular at lam = 1. A row
     whose rho leaves [2^-960, 2^960], at lam = 1 or at a later step, is
     solved by the same steps in log space instead.
 
     Raises DivergenceError for a norm above 2^996, as from an infinite
-    base, and ConfigError for a nan base, exponent or weight; returns 0.0
-    for a norm at or below 2^-996. A solve that has not converged after
-    100 steps also raises DivergenceError.
+    base or a positive base with an infinite weight (a zero base adds 0
+    whatever its weight), and ConfigError for a nan base, exponent or
+    weight; returns 0.0 for a norm at or below 2^-996. A solve that has not
+    converged after 100 steps also raises DivergenceError.
     """
     b = np.asarray(bases, dtype=float)
     rows = b.reshape(1, -1) if b.ndim < 2 else b
@@ -232,19 +235,23 @@ def weighted_power_norm(bases, exponents, weights):
     return float(norms[0]) if b.ndim < 2 else norms
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _solve(b, tops, least, exponents, weights):
     """weighted_power_norm of the rows of b, as an array; tops holds the
     row maxima and least, their minimum, is > 0.
 
-    The exponents of the maxima, the scaling by 2^-e and back and the end
-    checks are array operations over the rows. Each row's stop test and step
-    run on Python floats, whose pow is the C library's (numpy's vectorized
-    power differs from it in the last bit for a few percent of arguments),
-    so a row's result does not depend on the rows that share the call. A
-    row whose rho leaves the float range goes to _log_space_norms."""
+    The exponents of the maxima, the scaling by 2^-e and back and the
+    modular at lam = 1 are array operations over the rows. A constant
+    exponent with every rho(1) in range finishes there, each norm being
+    rho(1)^{1/q}; otherwise each row's stop test and step run from the
+    terms at lam = 1 on. Both take pow on Python floats, which is the C
+    library's (numpy's vectorized power differs from it in the last bit for
+    a few percent of arguments), so a row's result does not depend on the
+    rows that share the call. A row whose rho leaves the float range goes
+    to _log_space_norms."""
     q = np.asarray(exponents, dtype=float)
-    q_minus, q_plus = float(q.min()), float(q.max())
+    q_minus, q_plus = ((float(q.min()), float(q.max())) if q.ndim
+                       else (float(q),) * 2)
     if q_minus == q_plus:
         # a scalar exponent takes numpy's fast paths, such as x * x for q = 2
         q = q_minus
@@ -253,42 +260,51 @@ def _solve(b, tops, least, exponents, weights):
     # 2^-e is m / top exactly, and a float unless top < 2^-1024
     c = (b * (mantissas / tops)[:, None] if least >= 2.0 ** -1024
          else np.ldexp(b, -e[:, None])) * weights ** (1.0 / q)
-    his = [0.0] * len(c)
-    rows = list(range(len(c)))
-    out = []
-    lam = [1.0] * len(c)
-    for step in range(100):
-        terms = _modular_terms(c, q, 1.0 if step == 0 else np.array(lam)[:, None])
-        rho = terms.sum(axis=1).tolist()
-        newton = []
-        for j, (r, l) in enumerate(zip(rho, lam)):
-            if not _RHO_MIN <= r <= _RHO_MAX:
-                out.append(rows[j])
-                continue
-            lo = l * r ** up
-            hi = lo if up == down else l * r ** down
-            if hi < lo:
-                lo, hi = hi, lo
-            if hi - lo > 1e-12 * lo:
-                newton.append(j)
-                continue
-            his[rows[j]] = hi
-        if not newton:
-            break
-        moved = terms if len(newton) == len(rho) else terms[newton]
-        slopes = (q * moved).sum(axis=1).tolist()
-        for j, slope in zip(newton, slopes):
-            lam[j] *= rho[j] ** (rho[j] / slope)
-        if len(newton) < len(rows):
-            c = c[newton]
-            rows = [rows[j] for j in newton]
-            lam = [lam[j] for j in newton]
+    terms = _modular_terms(c, q, 1.0)
+    rho = terms.sum(axis=1).tolist()
+    # unlike max, sum is nan where any rho is; a sum past 2^960 of rho in
+    # range only sends them to the loop below, which gives the same bits
+    if up == down and _RHO_MIN <= min(rho) and sum(rho) <= _RHO_MAX:
+        # the sandwich of a constant exponent is the point rho(1)^{1/q}
+        norms = np.ldexp([r ** up for r in rho], e)
     else:
-        raise DivergenceError("Luxemburg solver did not converge")
-    norms = np.ldexp(his, e)
-    if out:
-        norms[out] = _log_space_norms(np.ldexp(b[out], -e[out, None]), e[out],
-                                      q, weights, up, down)
+        his = [0.0] * len(c)
+        rows = list(range(len(c)))
+        out = []
+        lam = [1.0] * len(c)
+        for step in range(100):
+            if step:
+                terms = _modular_terms(c, q, np.array(lam)[:, None])
+                rho = terms.sum(axis=1).tolist()
+            newton = []
+            for j, (r, l) in enumerate(zip(rho, lam)):
+                if not _RHO_MIN <= r <= _RHO_MAX:
+                    out.append(rows[j])
+                    continue
+                lo = l * r ** up
+                hi = lo if up == down else l * r ** down
+                if hi < lo:
+                    lo, hi = hi, lo
+                if hi - lo > 1e-12 * lo:
+                    newton.append(j)
+                    continue
+                his[rows[j]] = hi
+            if not newton:
+                break
+            moved = terms if len(newton) == len(rho) else terms[newton]
+            slopes = (q * moved).sum(axis=1).tolist()
+            for j, slope in zip(newton, slopes):
+                lam[j] *= rho[j] ** (rho[j] / slope)
+            if len(newton) < len(rows):
+                c = c[newton]
+                rows = [rows[j] for j in newton]
+                lam = [lam[j] for j in newton]
+        else:
+            raise DivergenceError("Luxemburg solver did not converge")
+        norms = np.ldexp(his, e)
+        if out:
+            norms[out] = _log_space_norms(np.ldexp(b[out], -e[out, None]),
+                                          e[out], q, weights, up, down)
     ends = norms.tolist()
     if max(ends) > _NORM_MAX:
         raise DivergenceError("Luxemburg norm exceeds 1e300")
@@ -305,10 +321,14 @@ def _log_space_norms(scaled, e, q, weights, up, down):
     g >= 0 and no step passes the root of the convex g. A row stops once
     g (1/q- - 1/q+) <= 1e-12 with s + g / q-; N = 2^k e^{s - k ln 2} may
     pass the float range, so 2^{k+e} scales it back in one step."""
-    with np.errstate(divide="ignore"):
-        z = np.log(scaled) + np.log(weights) / q
-    if np.isnan(z).any():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        folded = np.log(weights) / q
+        # a zero base adds nothing, whatever its weight
+        z = np.where(scaled > 0.0, np.log(scaled) + folded, -np.inf)
+    if np.isnan(folded).any():
         raise ConfigError("Luxemburg weights and exponents must not be nan")
+    if (z == np.inf).any():  # a positive base with an infinite weight
+        raise DivergenceError("Luxemburg norm exceeds 1e300")
     # a row whose positive bases all weigh 0 steps with z = 0, then gets 0.0
     dead = z.max(axis=1) == -np.inf
     z[dead] = 0.0

@@ -34,6 +34,7 @@ from varinterp import (
 )
 from varinterp import couples
 from varinterp.couples import _bracket_scan
+from varinterp.interp import _KMethodCouple
 from varinterp.rearrange import rearrangement
 
 
@@ -369,6 +370,65 @@ def test_duplicate_starts_share_their_line_searches():
     assert thrice.minimizer.tobytes() == once.minimizer.tobytes()
     # the copies count only in the evaluation of the starts themselves
     assert once.evaluations < thrice.evaluations <= once.evaluations + 2
+
+
+
+def pinned_problems():
+    """(couple, t, f, keyword arguments) of six seeded brute-force K
+    problems: weighted couples for n = 2..5, a generic couple of two
+    NormSpecs and the reiteration check's derived couple."""
+    for n in (2, 3, 4, 5):
+        rng = np.random.default_rng(100 + n)
+        w0, w1 = 10.0 ** rng.uniform(-1, 1, (2, n))
+        yield (Couple.weighted_seq(w0, w1), float(10.0 ** rng.uniform(-1, 1)),
+               rng.uniform(-2, 2, n), {})
+    rng = np.random.default_rng(106)
+    w0, w1 = 10.0 ** rng.uniform(-1, 1, (2, 3))
+    yield (Couple.finite_generic(NormSpec(1.5, w0), NormSpec(math.inf, w1)),
+           float(10.0 ** rng.uniform(-1, 1)), rng.uniform(-2, 2, 3), {})
+    rng = np.random.default_rng(107)
+    w0, w1 = 10.0 ** rng.uniform(-1, 1, (2, 3))
+    # skip the draw of t above: K at t = 1 has an inner minimizer
+    rng.uniform(-1, 1)
+    yield (_KMethodCouple(Couple.weighted_seq(w0, w1), HaarGrid(4, 4), 1.7,
+                          (0.3, 0.7)),
+           1.0, rng.uniform(-2, 2, 3),
+           dict(resolution=1e-6, n_random_starts=2))
+
+
+# value, minimizer and evaluation count of each pinned problem, recorded
+# before the derived couple solved both its norms in one call and before a
+# sweep that moves nothing stopped its start
+PINNED = [
+    ("0x1.78de3c2d9e4d1p+0",
+     ["-0x1.27dc67cb4ee70p-3", "0x1.2bc2d14cc5000p-31"], 2442),
+    ("0x1.07243a189ab01p-1",
+     ["0x1.4ae61fbcbab0cp-1", "0x1.9c40f40ce3334p-1", "-0x1.12a91e8b39240p-34"],
+     4703),
+    ("0x1.76522c8ab4a5bp+2",
+     ["0x1.a8b14a20bfb00p-33", "-0x1.bc2065fa843f6p+0", "0x1.39bb208beeb60p-3",
+      "0x1.060378570d588p+0"], 6760),
+    ("0x1.4a3df1918c2d2p+3",
+     ["-0x1.0000000000000p-77", "-0x1.0000000000000p-77",
+      "-0x1.e1c3694fc0be2p-1", "-0x1.6574f77116b67p-1",
+      "-0x1.0000000000000p-77"], 8970),
+    ("0x1.144c96ef18b7fp-1",
+     ["-0x1.b7248c2174afep-17", "-0x1.2e30332b6931cp-1",
+      "0x1.ceb681fed2600p-33"], 7865),
+    ("0x1.377fad73b0a1dp+3",
+     ["0x1.f553b8984ae27p+0", "-0x1.816485fd65162p-1", "-0x1.0000000000000p-72"],
+     4153),
+]
+
+
+def test_brute_force_keeps_its_pinned_bits():
+    for (c, t, f, kwargs), (value, minimizer, evaluations) in zip(
+            pinned_problems(), PINNED, strict=True):
+        res = k_brute_force(c, t, f, return_details=True, **kwargs)
+        assert res.value.hex() == value
+        assert [x.hex() for x in res.minimizer] == minimizer
+        assert res.evaluations <= evaluations
+        assert not res.cap_hit
 
 
 def test_brute_force_rejects_non_finite_vectors_and_misshapen_starts():

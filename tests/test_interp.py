@@ -389,6 +389,82 @@ def test_reiteration_matches_a_per_t_brute_force_loop_bit_for_bit(q, monkeypatch
         assert res.minimizer.tolist() == res_ref.minimizer.tolist()
 
 
+
+# brute_force_many's values at t = 2^-3..2^3 in two reiteration draws (a
+# constant and a variable exponent), recorded before the derived couple
+# solved both its norms in one call and before a sweep that moves nothing
+# stopped its start
+REITERATION_ALPHAS = [
+    ["0x1.d5831cdfd6aa4p-4", "0x1.d5831cdfd6aa4p-3", "0x1.d5831cdfd6aa4p-2",
+     "0x1.d3bfa1101cb02p-1", "0x1.8935b1a9f7876p+0", "0x1.8935b1a9f7876p+0",
+     "0x1.8935b1a9f7876p+0"],
+    ["0x1.8c69d24dede07p-3", "0x1.8c69d24dede07p-2", "0x1.8b06d415e07f8p-1",
+     "0x1.3d9c746ea9201p+0", "0x1.b4cb801a4fff5p+0", "0x1.b5b17a0b9edfep+0",
+     "0x1.b5b17a0b9edfep+0"],
+]
+
+
+def test_reiteration_outer_k_keeps_its_pinned_bits(monkeypatch):
+    seen = []
+    real = couples.GenericCouple.brute_force_many
+
+    def recorded(self, ts, f, **kwargs):
+        result = real(self, ts, f, **kwargs)
+        seen.append([v.hex() for v in result[0]])
+        return result
+
+    monkeypatch.setattr(couples.GenericCouple, "brute_force_many", recorded)
+    for draw, alphas in enumerate(REITERATION_ALPHAS):
+        rng = np.random.default_rng([29, draw])
+        w0, w1 = 10.0 ** rng.uniform(-1, 1, (2, 3))
+        f = rng.uniform(-2, 2, 3)
+        q = (ExponentFunction.constant(float(rng.uniform(1.5, 3.0)))
+             if draw == 0 else ExponentFunction.from_expression(
+                 "2 + 1/log(e + 1/t)", p_at_zero=2.0, p_at_infinity=3.0))
+        seen.clear()
+        rep = reiteration_check(Couple.weighted_seq(w0, w1), f,
+                                float(rng.uniform(0.2, 0.35)),
+                                float(rng.uniform(0.65, 0.8)), 0.5, q,
+                                inner_grid=HaarGrid(4, 4), outer_V=3,
+                                base_grid=HaarGrid(6, 8), refine=False,
+                                resolution=1e-6)
+        assert rep.passed
+        assert seen == [alphas]
+
+
+@pytest.mark.parametrize("q", [
+    1.7, ExponentFunction.from_expression("2 + 1/log(e + 1/t)",
+                                          p_at_zero=2.0, p_at_infinity=3.0)])
+def test_derived_cost_many_equals_its_two_norms_bit_for_bit(q, monkeypatch):
+    rng = np.random.default_rng(13)
+    grid = HaarGrid(4, 4)
+    c = Couple.weighted_seq(10.0 ** rng.uniform(-1, 1, 3),
+                            10.0 ** rng.uniform(-1, 1, 3))
+    q_values = q if isinstance(q, float) else exponent_values(q, grid)
+    derived = interp._KMethodCouple(c, grid, q_values, (0.3, 0.7))
+    f = rng.uniform(-2, 2, 3)
+    calls = []
+    solve = interp.weighted_power_norm
+
+    def counted(bases, exponents, weights):
+        calls.append(len(bases))
+        return solve(bases, exponents, weights)
+
+    monkeypatch.setattr(interp, "weighted_power_norm", counted)
+    for rows in (1, 2, 17, 85):
+        G = rng.uniform(-2, 2, (rows, 3))
+        G[rows // 2] = 0.0
+        # brute-force K hands the objective column-major trial points
+        for layout in (G, np.asfortranarray(G)):
+            for t in (0.3, 2.0):
+                calls.clear()
+                cost = derived.cost_many(layout, f, t)
+                assert calls == [2 * rows]
+                want = (derived.norm0_many(layout, f)
+                        + t * derived.norm1_many(f - layout, f))
+                assert cost.tobytes() == want.tobytes()
+
+
 def test_reiteration_validation():
     with pytest.raises(ConfigError):
         reiteration_check(WS, F2, 0.75, 0.25, 0.5, Q2)

@@ -595,6 +595,67 @@ def test_out_of_range_rows_in_a_batch_equal_rows_alone(monkeypatch, constant):
             == [math.ldexp(a, j) for a in alone]
 
 
+
+@pytest.mark.parametrize("exponents", [1.5, np.array(1.5)])
+def test_constant_exponent_batch_finishes_after_one_modular(monkeypatch,
+                                                            exponents):
+    # in-range rows beside rows whose rho(1) leaves [2^-960, 2^960] (see the
+    # test above): the modular terms are evaluated once for the whole batch,
+    # and every row equals its norm alone, bit for bit
+    rng = np.random.default_rng(31)
+    m = 12
+    weights = 10.0 ** rng.uniform(-2.0, 2.0, m)
+    weights[:2] = 1e300, 1e-300
+    rows = 10.0 ** rng.uniform(-5.0, 5.0, (40, m))
+    rows[:8, 0] = 2.0 * rows[:8].max(axis=1)
+    rows[8:16, 0] = rows[8:16, 2:] = 0.0
+    rows[16:, 0] = 0.0
+    alone = [weighted_power_norm(row, 1.5, weights) for row in rows]
+    evaluations = count_evaluations(monkeypatch)
+    assert weighted_power_norm(rows, exponents, weights).tolist() == alone
+    assert evaluations == [1.0]
+    evaluations.clear()
+    in_range = weighted_power_norm(rows[16:], exponents, weights)
+    assert in_range.tolist() == alone[16:]
+    assert evaluations == [1.0]
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_infinite_weights_end_at_once_without_warning(monkeypatch, constant):
+    # a positive base under an infinite weight makes the norm infinite; a
+    # zero base adds 0 whatever its weight
+    rng = np.random.default_rng(41)
+    m = 6
+    exponents = 2.5 if constant else rng.uniform(1.0, 3.0, m)
+    weights = 10.0 ** rng.uniform(-2.0, 0.0, m)
+    weights[1] = np.inf
+    rows = rng.uniform(0.1, 2.0, (5, m))
+    rows[:, 1] = 0.0
+    rows[2, 4:] = 0.0
+    evaluations = count_evaluations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = weighted_power_norm(rows, exponents, weights)
+        assert len(evaluations) == 1
+        assert got.tolist() == [weighted_power_norm(row, exponents, weights)
+                                for row in rows]
+        q = np.broadcast_to(exponents, m)
+        for row, norm in zip(rows, got):
+            want = reference_log_norm(row, q, weights)
+            assert abs(math.log(norm) - want) <= 1e-11
+        rows[3, 1] = 0.5
+        evaluations.clear()
+        with pytest.raises(DivergenceError, match="exceeds"):
+            weighted_power_norm(rows, exponents, weights)
+        assert len(evaluations) == 1
+        with pytest.raises(DivergenceError, match="exceeds"):
+            weighted_power_norm(np.ones(2), exponents if constant else 1.0,
+                                np.inf)
+        got = weighted_power_norm(np.array([0.0, 1.0]), 2.0,
+                                  np.array([np.inf, 1.0]))
+    assert math.isclose(got, 1.0, rel_tol=1e-15)
+
+
 def _unit(data, m):
     return np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
                                        min_size=m, max_size=m)))
