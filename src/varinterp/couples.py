@@ -531,10 +531,8 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     xatol = max(resolution * scale * 1e-1, 1e-14)
     warm = _WARM * xatol
 
-    starts = [f.copy(), np.zeros(n), 0.5 * f, *extra]
-    for _ in range(n_random_starts):
-        starts.append(rng.uniform(lo, hi))
-    g = np.clip(np.array(starts), lo, hi)
+    randoms = rng.uniform(lo, hi, (n_random_starts, n))
+    g = np.clip(np.vstack([f, np.zeros(n), 0.5 * f, *extra, randoms]), lo, hi)
 
     evals = 0
 

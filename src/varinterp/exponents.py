@@ -1,7 +1,9 @@
 """Variable exponent functions on the half-line (0, oo).
 
 An exponent is a function p with values in [1, oo) together with its limit
-values p(0) and p_inf. Exponents enter every norm computation pointwise, so
+values p(0) and p_inf. Every exponent is an ExponentFunction holding one
+expression tree (a constant, a parsed DSL expression or a piecewise table),
+evaluated on one path. Exponents enter every norm computation pointwise, so
 evaluation is vectorized over numpy arrays. The module also estimates
 log-Holder continuity constants by sampling:
 
@@ -53,7 +55,9 @@ PROBE_INFINITY = 1e12
 #
 # NUMBER is a plain decimal literal; scientific notation is not part of the
 # grammar because "e" is the Euler constant. log takes one argument (natural
-# log) or two (log base b as second argument). min and max take two.
+# log) or two (log base b as second argument). min and max take two. The
+# parser never makes the ("table", arg, breakpoints, values) node of a
+# piecewise exponent; only ExponentFunction.piecewise does.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -211,6 +215,9 @@ def _eval(tree, t):
         return np.minimum(_eval(tree[1], t), _eval(tree[2], t))
     if head == "max":
         return np.maximum(_eval(tree[1], t), _eval(tree[2], t))
+    if head == "table":
+        return np.asarray(tree[3])[np.searchsorted(tree[2], _eval(tree[1], t),
+                                                   side="right")]
     raise ConfigError(f"unknown expression node {head!r}")
 
 
@@ -223,17 +230,18 @@ def _eval(tree, t):
 class ExponentFunction:
     """A variable exponent p: (0, oo) -> [1, oo) with limits p(0) and p_inf.
 
-    kind is one of "constant", "expression", "piecewise". Instances are
-    immutable; call them like functions.
+    Every exponent is one expression tree: a constant c is ("num", c), an
+    expression is its parsed tree and a piecewise table is a
+    ("table", arg, breakpoints, values) node. Calling an exponent evaluates
+    the tree, checks that the values are finite and >= 1 - 1e-12, and
+    clamps them at 1. Instances are immutable, hashable and compare by
+    limits and tree; source, the DSL text, is informational.
     """
 
-    kind: str
     p_at_zero: float
     p_at_infinity: float
-    source: str | None = None
-    _tree: tuple | None = field(default=None, repr=False)
-    _breakpoints: np.ndarray | None = field(default=None, repr=False)
-    _cell_values: np.ndarray | None = field(default=None, repr=False)
+    tree: tuple = field(repr=False)
+    source: str | None = field(default=None, compare=False)
     _grid_values: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -242,29 +250,23 @@ class ExponentFunction:
         value = float(value)
         if not math.isfinite(value) or value < 1.0:
             raise InvalidExponentError(f"constant exponent {value} is below 1")
-        return cls("constant", value, value, source=repr(value))
+        return cls(value, value, ("num", value), repr(value))
 
     @classmethod
-    def from_expression(cls, source_or_tree, p_at_zero=None, p_at_infinity=None):
-        """Build an exponent from DSL source (or a parsed tree).
+    def from_expression(cls, source, p_at_zero=None, p_at_infinity=None):
+        """Build an exponent from DSL source.
 
-        Missing limits are probed at t = 1e-12 and t = 1e12. A tree that is a
-        bare number collapses to a constant exponent.
+        Missing limits are probed at t = 1e-12 and t = 1e12. Source that is
+        a bare number collapses to a constant exponent.
         """
-        if isinstance(source_or_tree, str):
-            source = source_or_tree
-            tree = parse_expression(source)
-        else:
-            tree = source_or_tree
-            source = None
+        tree = parse_expression(source)
         if tree[0] == "num":
             return cls.constant(tree[1])
         if p_at_zero is None:
             p_at_zero = _probe(tree, PROBE_ZERO)
         if p_at_infinity is None:
             p_at_infinity = _probe(tree, PROBE_INFINITY)
-        return cls("expression", float(p_at_zero), float(p_at_infinity),
-                   source=source, _tree=tree)
+        return cls(float(p_at_zero), float(p_at_infinity), tree, source)
 
     @classmethod
     def piecewise(cls, breakpoints, values):
@@ -282,12 +284,25 @@ class ExponentFunction:
             raise ConfigError("piecewise breakpoints must be positive and increasing")
         if np.any(values < 1.0) or not np.all(np.isfinite(values)):
             raise InvalidExponentError("piecewise exponent values must be finite and >= 1")
-        return cls("piecewise", float(values[0]), float(values[-1]),
-                   _breakpoints=breakpoints, _cell_values=values)
+        return cls(float(values[0]), float(values[-1]),
+                   ("table", ("t",), tuple(breakpoints.tolist()), tuple(values.tolist())))
 
     @property
     def is_constant(self):
-        return self.kind == "constant"
+        return self.tree[0] == "num"
+
+    def reflected(self):
+        """t -> p(1/t), whose limits are p_inf at 0 and p(0) at infinity."""
+        return ExponentFunction(self.p_at_infinity, self.p_at_zero,
+                                _reflect(self.tree))
+
+    def shifted(self, c):
+        """max(p, 1) + c for a shift c >= 0."""
+        if not c >= 0.0:
+            raise ConfigError("an exponent shift must be >= 0")
+        return ExponentFunction(max(self.p_at_zero, 1.0) + c,
+                                max(self.p_at_infinity, 1.0) + c,
+                                ("+", ("max", self.tree, ("num", 1.0)), ("num", float(c))))
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -295,18 +310,12 @@ class ExponentFunction:
         t_arr = np.atleast_1d(t_arr)
         if (t_arr <= 0.0).any() or not np.isfinite(t_arr).all():
             raise DomainError("exponent argument must be a finite positive real")
-        if self.kind == "constant":
-            out = np.full_like(t_arr, self.p_at_zero)
-        elif self.kind == "expression":
-            out = evaluate_expression(self._tree, t_arr)
-            if not np.isfinite(out).all():
-                raise InvalidExponentError("expression evaluated to a non-finite value")
-            if (out < 1.0 - 1e-12).any():
-                raise InvalidExponentError("expression evaluated below 1")
-            out = np.maximum(out, 1.0)
-        else:
-            idx = np.searchsorted(self._breakpoints, t_arr, side="right")
-            out = self._cell_values[idx]
+        out = evaluate_expression(self.tree, t_arr)
+        if not np.isfinite(out).all():
+            raise InvalidExponentError("exponent evaluated to a non-finite value")
+        if (out < 1.0 - 1e-12).any():
+            raise InvalidExponentError("exponent evaluated below 1")
+        out = np.maximum(out, 1.0)
         return float(out[0]) if scalar else out
 
     def on_grid(self, grid):
@@ -323,6 +332,18 @@ class ExponentFunction:
         return values
 
 
+def _reflect(tree):
+    """The tree with t replaced by 1/t, outside a table's number tuples."""
+    head = tree[0]
+    if head == "t":
+        return ("/", ("num", 1.0), ("t",))
+    if head in ("num", "e"):
+        return tree
+    if head == "table":
+        return (head, _reflect(tree[1]), *tree[2:])
+    return (head, *map(_reflect, tree[1:]))
+
+
 def _probe(tree, t):
     value = float(evaluate_expression(tree, t))
     if not math.isfinite(value):
@@ -333,15 +354,9 @@ def _probe(tree, t):
 
 
 def exponent_values(q, grid):
-    """q at the nodes of a HaarGrid. An ExponentFunction is evaluated once
-    per grid (see on_grid) and is valid by construction; a plain callable is
-    evaluated and checked on every call."""
-    if isinstance(q, ExponentFunction):
-        return q.on_grid(grid)
-    values = np.asarray(q(grid.nodes), dtype=float)
-    if (values < 1.0).any() or not np.isfinite(values).all():
-        raise ConfigError("exponent must be finite and >= 1 on the grid")
-    return values
+    """q at the nodes of a HaarGrid: q.on_grid(grid), evaluated and
+    validated once per grid."""
+    return q.on_grid(grid)
 
 
 def essential_bounds(p, grid):

@@ -39,18 +39,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HardyInstance:
-    """Inputs of the discrete Hardy check: ratio a, exponent q (a number or
-    a constant exponent) and data epsilon, an array eps_{-V}, ..., eps_V of
+    """Inputs of the discrete Hardy check: ratio a, exponent q > 0 (a
+    number, possibly inf) and data epsilon, an array eps_{-V}, ..., eps_V of
     length 2V + 1 >= 3 with finite nonnegative entries."""
 
     a: float
-    q: object
+    q: float
     epsilon: object
 
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
             raise ConfigError("the ratio a must lie in (0, 1)")
-        if isinstance(self.q, (int, float)) and not self.q > 0.0:
+        if not self.q > 0.0:
             raise ConfigError("the exponent q must be positive")
         object.__setattr__(self, "epsilon", _two_sided(self.epsilon))
 
@@ -82,14 +82,7 @@ def hardy_discrete_check(instance):
     the applicable cap with a 1 percent margin.
     """
     a = instance.a
-    q = instance.q
-    if hasattr(q, "p_at_zero"):
-        if not q.is_constant:
-            raise ConfigError("the discrete Hardy check needs constant q")
-        q = q.p_at_zero
-    q = float(q)
-    if q <= 0:
-        raise ConfigError("q must be positive")
+    q = float(instance.q)
     eps = instance.epsilon
     k = np.arange(len(eps))
     kernel = a ** np.abs(k[:, None] - k[None, :])
@@ -162,7 +155,8 @@ class KeyEstimateReport:
 def key_estimate_check(p, interval, w, f, m, variant):
     """Pointwise key estimate on the nodes of Q = (a, b).
 
-    For every node x in Q, checks
+    The weight w and the function f are SampledFunctions on one grid, and
+    w must be positive on Q. For every node x in Q, checks
 
         (gamma avg_w(|f|))^{p(x)} <= max(1, w(Q)^{1 - p(x)/p-}) avg_w(|f|^{p(y,0)})
                                      + omega(m, b) avg_w(g(x, .)),
@@ -197,14 +191,7 @@ def key_estimate_check(p, interval, w, f, m, variant):
     y = nodes[mask]
     dy = y * grid.du
     f_y = f.values[mask]
-    if w is None:
-        w_y = np.ones_like(y)
-    elif isinstance(w, SampledFunction):
-        w_y = w.values[mask]
-    else:
-        w_y = np.asarray(w, dtype=float)
-        if w_y.shape != y.shape:
-            raise ConfigError("weight sample count does not match Q nodes")
+    w_y = w.values[mask]
     if np.any(w_y <= 0):
         raise ConfigError("weight must be positive on Q")
 

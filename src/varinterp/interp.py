@@ -69,7 +69,7 @@ class KMethodParams:
     """Interpolation parameters: theta in (0, 1), exponent q, sampling grid."""
 
     theta: float
-    q: object
+    q: ExponentFunction
     grid: HaarGrid
 
     def __post_init__(self):
@@ -322,11 +322,7 @@ def prop_reversal_symmetry(couple, f, theta, q, grid):
         raise ConfigError("reversal symmetry needs q(0) = q_inf")
     rev = couple.reversed()
     forward = k_norm_continuous(couple, f, KMethodParams(theta, q, grid))
-
-    def q_reflected(ts):
-        return np.asarray(q(1.0 / np.asarray(ts, dtype=float)), dtype=float)
-
-    backward = k_norm_continuous(rev, f, KMethodParams(1.0 - theta, q_reflected, grid))
+    backward = k_norm_continuous(rev, f, KMethodParams(1.0 - theta, q.reflected(), grid))
     ratio = backward / forward if forward > 0 else 1.0
 
     q0 = q.p_at_zero
@@ -416,13 +412,9 @@ def proposition_checks(couple, f, params=None):
     if params is None:
         params = KMethodParams(0.5, ExponentFunction.constant(2.0), HaarGrid(8, 16))
     theta, q, grid = params.theta, params.q, params.grid
-
-    def bumped(ts):
-        return np.asarray(q(ts), dtype=float) + 1.0
-
     reports = {}
     reports["exponent_monotone"] = prop_exponent_monotone(
-        couple, f, theta, q, bumped, grid)
+        couple, f, theta, q, q.shifted(1.0), grid)
     if couple.is_vector_couple:
         reports["reversal_symmetry"] = prop_reversal_symmetry(
             couple, f, theta, q, grid)

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, GridMismatchError
-from .exponents import ExponentFunction, essential_bounds, exponent_values
+from .exponents import essential_bounds, exponent_values
 
 __all__ = [
     "DEFAULT_GRID",
@@ -356,8 +356,7 @@ def luxemburg_norm(phi, q):
     constant exponent goes in as a scalar. It raises DivergenceError for a
     norm above about 1e300 and returns 0.0 for one below about 1e-300.
     """
-    constant = isinstance(q, ExponentFunction) and q.is_constant
-    exponent = q.p_at_zero if constant else exponent_values(q, phi.grid)
+    exponent = q.p_at_zero if q.is_constant else exponent_values(q, phi.grid)
     return weighted_power_norm(phi.values, exponent, phi.grid.du)
 
 

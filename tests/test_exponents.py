@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varinterp import (
+    ConfigError,
     DomainError,
     ExponentFunction,
     ExponentSyntaxError,
     HaarGrid,
     InvalidExponentError,
+    KMethodParams,
     estimate_log_holder,
     log_holder_constants,
     parse_exponent,
@@ -20,6 +22,7 @@ from varinterp.exponents import (
     evaluate_expression,
     parse_expression,
 )
+from varinterp.varleb import DEFAULT_GRID
 
 
 def test_constant_exponent():
@@ -94,6 +97,71 @@ def test_piecewise_cells_left_closed():
     assert p(1.99) == 3.0
     assert p(2.0) == 2.5
     assert p.p_at_zero == 1.5 and p.p_at_infinity == 2.5
+
+
+LOG_TYPE = "1.7 + 0.6/log(e + 1/t)"  # the suite's c + d/log(e + 1/t)
+
+TWINS = [
+    lambda: ExponentFunction.constant(2.5),
+    lambda: ExponentFunction.from_expression(LOG_TYPE),
+    lambda: ExponentFunction.from_expression(LOG_TYPE, p_at_zero=1.7,
+                                             p_at_infinity=2.3),
+    lambda: ExponentFunction.piecewise([0.5, 2.0], [1.5, 3.0, 2.5]),
+    lambda: ExponentFunction.piecewise([0.5, 2.0], [1.5, 3.0, 2.5]).reflected(),
+    lambda: ExponentFunction.from_expression(LOG_TYPE).shifted(1.0),
+]
+
+
+@pytest.mark.parametrize("make", TWINS)
+def test_exponent_equals_and_hashes_like_its_twin(make):
+    p, twin = make(), make()
+    p.on_grid(DEFAULT_GRID)  # the grid cache takes no part in == or hash
+    assert p == twin and hash(p) == hash(twin)
+    assert KMethodParams(0.5, p, DEFAULT_GRID) == KMethodParams(0.5, twin, DEFAULT_GRID)
+    assert hash(KMethodParams(0.5, p, DEFAULT_GRID)) == hash(
+        KMethodParams(0.5, twin, DEFAULT_GRID))
+
+
+def test_exponents_compare_by_value():
+    table = ExponentFunction.piecewise([0.5, 2.0], [1.5, 3.0, 2.5])
+    assert table != ExponentFunction.piecewise([0.5, 2.0], [1.5, 3.0, 2.6])
+    assert table != ExponentFunction.piecewise([0.5, 3.0], [1.5, 3.0, 2.5])
+    assert ExponentFunction.constant(2.5) != ExponentFunction.constant(3.0)
+    assert ExponentFunction.from_expression("2.5") == ExponentFunction.constant(2.5)
+    assert len({table, ExponentFunction.piecewise([0.5, 2.0], [1.5, 3.0, 2.5])}) == 1
+
+
+REFLECT_SHIFT_CASES = [
+    ExponentFunction.constant(2.5),
+    ExponentFunction.from_expression(LOG_TYPE, p_at_zero=1.7, p_at_infinity=2.3),
+    ExponentFunction.piecewise([0.5, 2.0], [1.5, 3.0, 2.5]),
+]
+
+
+@pytest.mark.parametrize("q", REFLECT_SHIFT_CASES)
+def test_reflected_and_shifted_match_the_closures_bit_for_bit(q):
+    # pointwise references: q at 1/t, and q plus one
+    def q_reflected(ts):
+        return np.asarray(q(1.0 / np.asarray(ts, dtype=float)), dtype=float)
+
+    def bumped(ts):
+        return np.asarray(q(ts), dtype=float) + 1.0
+
+    nodes = DEFAULT_GRID.nodes
+    assert q.reflected().on_grid(DEFAULT_GRID).tobytes() == q_reflected(nodes).tobytes()
+    assert q.shifted(1.0).on_grid(DEFAULT_GRID).tobytes() == bumped(nodes).tobytes()
+
+
+@pytest.mark.parametrize("q", REFLECT_SHIFT_CASES)
+def test_reflected_and_shifted_limits(q):
+    r = q.reflected()
+    assert (r.p_at_zero, r.p_at_infinity) == (q.p_at_infinity, q.p_at_zero)
+    s = q.shifted(1.0)
+    assert (s.p_at_zero, s.p_at_infinity) == (q.p_at_zero + 1.0,
+                                              q.p_at_infinity + 1.0)
+    assert r.is_constant == q.is_constant and not s.is_constant
+    with pytest.raises(ConfigError):
+        q.shifted(-0.5)
 
 
 def test_call_rejects_bad_arguments():
