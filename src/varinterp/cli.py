@@ -4,6 +4,7 @@ Subcommands map onto the library: ``norm`` evaluates a variable-exponent
 norm of a sampled function, ``kfunc`` evaluates K-functionals, ``rearrange``
 prints a non-increasing rearrangement profile, ``check`` runs one suite
 check, and ``suite`` runs a configured batch and writes report files.
+The JSON of couples and functions is decoded here, and only here.
 
 Exit codes: 0 success/pass, 1 check failure, 2 usage or config error,
 3 numerical divergence.
@@ -12,12 +13,15 @@ Exit codes: 0 success/pass, 1 check failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import sys
 
-from .couples import Couple, k_functional
+import numpy as np
+
+from .couples import Couple, NormSpec, k_functional
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -52,7 +56,7 @@ def parse_exponent(source):
     probed = ExponentFunction.from_expression(head.strip())
     for label, annotated, found in (("@0", at_zero, probed.p_at_zero),
                                     ("@inf", at_infinity, probed.p_at_infinity)):
-        if annotated is not None and abs(annotated - found) > 0.1:
+        if annotated is not None and not abs(annotated - found) <= 0.1:
             raise InvalidExponentError(
                 f"{label}={annotated} contradicts the probed limit {found:.6g}")
     if at_zero is None and at_infinity is None:
@@ -129,16 +133,54 @@ def _build_parser():
     return parser
 
 
+@contextlib.contextmanager
+def _fields(what):
+    """Raise a missing, mistyped or invalid field of the JSON for what as
+    ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what} JSON has no field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what} JSON: {exc}") from exc
+
+
+# the couple JSON of each "kind"; a finite_generic norm is
+# {"p": a number >= 1 or "inf", "weights": [...]}
+_COUPLES = {
+    "weighted_seq": lambda d: Couple.weighted_seq(d["w0"], d["w1"]),
+    "l1_linf": lambda d: Couple.l1_linf(),
+    "finite_generic": lambda d: Couple.finite_generic(
+        *(NormSpec(d[key]["p"], d[key]["weights"]) for key in ("norm0", "norm1"))),
+}
+
+
+def _couple_from_json(data):
+    with _fields("couple"):
+        build = _COUPLES.get(data["kind"])
+        if build is None:
+            raise ConfigError(f"unknown couple kind {data['kind']!r}")
+        return build(data)
+
+
 def _function_from_json(data):
+    """A vector [x, ...], an atom function {"atoms": [[value, mass], ...]}
+    or a sampled function {"grid": {"V": v, "samples_per_octave": s},
+    "values": [...]}."""
     if isinstance(data, list):
         vector = [float(x) for x in data]
         if not all(map(math.isfinite, vector)):
             raise ConfigError("vector elements must be finite")
         return vector
-    if isinstance(data, dict) and "atoms" in data:
-        return AtomFunction.from_json(data)
-    if isinstance(data, dict) and "values" in data:
-        return SampledFunction.from_json(data)
+    with _fields("function"):
+        if "atoms" in data:
+            pairs = [(float(v), float(m)) for v, m in data["atoms"]]
+            return AtomFunction([v for v, _ in pairs], [m for _, m in pairs])
+        if "values" in data:
+            grid = data["grid"]
+            return SampledFunction(
+                HaarGrid(int(grid["V"]), int(grid["samples_per_octave"])),
+                np.asarray(data["values"], dtype=float))
     raise ValueError("unrecognized function JSON: expected a vector, an "
                      "atom list, or a sampled function")
 
@@ -156,13 +198,13 @@ def _cmd_norm(args):
     value = luxemburg_norm(fn, exponent)
     json.dump({"norm": value,
                "exponent": args.exponent,
-               "grid": fn.grid.to_json()}, sys.stdout)
+               "grid": dataclasses.asdict(fn.grid)}, sys.stdout)
     sys.stdout.write("\n")
     return 0
 
 
 def _cmd_kfunc(args):
-    couple = Couple.from_json(_load_json(args.couple))
+    couple = _couple_from_json(_load_json(args.couple))
     fn = _function_from_json(_load_json(args.function))
     ts = [float(part) for part in args.t.split(",") if part.strip()]
     if not ts:

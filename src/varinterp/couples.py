@@ -1,7 +1,7 @@
 """Compatible couples of normed spaces and their K- and J-functionals.
 
-`Couple` is the interface; three classes implement it, each tagged in
-JSON by its ``kind``:
+`Couple` is the interface; three classes implement it, each built by the
+`Couple` constructor named in parentheses:
 
 * `WeightedSeqCouple` (``weighted_seq``): two weighted little-l1 norms on
   R^n. The K-functional splits per coordinate,
@@ -37,7 +37,6 @@ of a start's coordinates stops that start.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -93,16 +92,6 @@ class NormSpec:
             return wx.max(axis=-1, initial=0.0)
         return (wx ** self.p).sum(axis=-1) ** (1.0 / self.p)
 
-    def to_json_dict(self):
-        return {"p": "inf" if math.isinf(self.p) else self.p,
-                "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        p = data["p"]
-        return cls(math.inf if p == "inf" else float(p),
-                   np.asarray(data["weights"], dtype=float))
-
 
 class Couple:
     """A compatible couple (A0, A1); see the module docstring for the classes.
@@ -116,11 +105,10 @@ class Couple:
     of positive t; decompose_many(ts, f), the (m, n) value arrays (f0, f1)
     of near-optimal splits f = f0 + f1 realizing K(t_j, f) in row j, with
     f1 = f - f0; element(g, f), the element with values g on the atoms of
-    f; reversed(), the couple (A1, A0); and to_json, tagged by the class
-    attribute kind. The other class attributes say what a caller may rely
-    on: is_vector_couple (elements are vectors in R^n), dimension (n, for a
-    weighted sequence couple) and ordered (norm0 <= norm1 on every
-    element).
+    f; and reversed(), the couple (A1, A0). The class attributes say what a
+    caller may rely on: is_vector_couple (elements are vectors in R^n),
+    dimension (n, for a weighted sequence couple) and ordered (norm0 <=
+    norm1 on every element).
     """
 
     is_vector_couple = True
@@ -162,28 +150,9 @@ class Couple:
         """The (m, n) matrix C with K(t_j, f) = sum_k C_jk |f_k|."""
         raise ConfigError("K is linear in |f| only for weighted_seq")
 
-    def _json_fields(self):
-        return {}
-
-    def to_json(self):
-        return json.dumps({"kind": self.kind, **self._json_fields()})
-
-    @staticmethod
-    def from_json(text):
-        data = json.loads(text) if isinstance(text, str) else text
-        try:
-            for cls in (WeightedSeqCouple, L1LinfCouple, GenericCouple):
-                if data["kind"] == cls.kind:
-                    return cls._from_json_fields(data)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed couple JSON: {exc}") from exc
-        raise ConfigError(f"unknown couple kind {data.get('kind')!r}")
-
 
 class WeightedSeqCouple(Couple):
     """(l1(w0), l1(w1)) on R^n with positive finite weights."""
-
-    kind = "weighted_seq"
 
     def __init__(self, w0, w1):
         w0 = np.asarray(w0, dtype=float)
@@ -231,13 +200,6 @@ class WeightedSeqCouple(Couple):
         return (float(np.max((self.w0 @ abs_t) / self.w0)),
                 float(np.max((self.w1 @ abs_t) / self.w1)))
 
-    def _json_fields(self):
-        return {"w0": self.w0.tolist(), "w1": self.w1.tolist()}
-
-    @classmethod
-    def _from_json_fields(cls, data):
-        return cls(data["w0"], data["w1"])
-
 
 def _profile(f):
     if not isinstance(f, AtomFunction):
@@ -248,7 +210,6 @@ def _profile(f):
 class L1LinfCouple(Couple):
     """(L^1, L^inf) on a nonatomic measure space; elements are AtomFunctions."""
 
-    kind = "l1_linf"
     is_vector_couple = False
 
     def norm0(self, f):
@@ -280,10 +241,6 @@ class L1LinfCouple(Couple):
     def reversed(self):
         raise ConfigError("the l1_linf couple has no finite reversed representation")
 
-    @classmethod
-    def _from_json_fields(cls, data):
-        return cls()
-
 
 class GenericCouple(Couple):
     """Two norms on R^n, each a NormSpec or a callable; K by brute force.
@@ -293,8 +250,6 @@ class GenericCouple(Couple):
     flags a t whose brute-force K hit its evaluation cap; k_many and
     decompose_many raise CapacityError for it.
     """
-
-    kind = "finite_generic"
 
     def __init__(self, norm0, norm1):
         specs = isinstance(norm0, NormSpec) and isinstance(norm1, NormSpec)
@@ -347,17 +302,6 @@ class GenericCouple(Couple):
 
     def reversed(self):
         return GenericCouple(*self.norms[::-1])
-
-    def _json_fields(self):
-        if not all(isinstance(norm, NormSpec) for norm in self.norms):
-            raise ConfigError("couples with callable norms are not serializable")
-        return {"norm0": self.norms[0].to_json_dict(),
-                "norm1": self.norms[1].to_json_dict()}
-
-    @classmethod
-    def _from_json_fields(cls, data):
-        return cls(NormSpec.from_json_dict(data["norm0"]),
-                   NormSpec.from_json_dict(data["norm1"]))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "parse_expression",
     "evaluate_expression",
     "essential_bounds",
-    "exponent_values",
     "estimate_log_holder",
     "log_holder_constants",
 ]
@@ -256,17 +255,21 @@ class ExponentFunction:
     def from_expression(cls, source, p_at_zero=None, p_at_infinity=None):
         """Build an exponent from DSL source.
 
-        Missing limits are probed at t = 1e-12 and t = 1e12. Source that is
-        a bare number collapses to a constant exponent.
+        Missing limits are probed at t = 1e-12 and t = 1e12. A limit, given
+        or probed, must be finite and >= 1 - 1e-12 and is clamped at 1, as
+        exponent values are. Source that is a bare number collapses to a
+        constant exponent.
         """
         tree = parse_expression(source)
         if tree[0] == "num":
             return cls.constant(tree[1])
         if p_at_zero is None:
-            p_at_zero = _probe(tree, PROBE_ZERO)
+            p_at_zero = evaluate_expression(tree, PROBE_ZERO)
         if p_at_infinity is None:
-            p_at_infinity = _probe(tree, PROBE_INFINITY)
-        return cls(float(p_at_zero), float(p_at_infinity), tree, source)
+            p_at_infinity = evaluate_expression(tree, PROBE_INFINITY)
+        p_zero, p_inf = _checked(np.array([p_at_zero, p_at_infinity], dtype=float),
+                                 "the limit p(0) or p_inf")
+        return cls(float(p_zero), float(p_inf), tree, source)
 
     @classmethod
     def piecewise(cls, breakpoints, values):
@@ -310,12 +313,7 @@ class ExponentFunction:
         t_arr = np.atleast_1d(t_arr)
         if (t_arr <= 0.0).any() or not np.isfinite(t_arr).all():
             raise DomainError("exponent argument must be a finite positive real")
-        out = evaluate_expression(self.tree, t_arr)
-        if not np.isfinite(out).all():
-            raise InvalidExponentError("exponent evaluated to a non-finite value")
-        if (out < 1.0 - 1e-12).any():
-            raise InvalidExponentError("exponent evaluated below 1")
-        out = np.maximum(out, 1.0)
+        out = _checked(evaluate_expression(self.tree, t_arr), "exponent value")
         return float(out[0]) if scalar else out
 
     def on_grid(self, grid):
@@ -344,24 +342,19 @@ def _reflect(tree):
     return (head, *map(_reflect, tree[1:]))
 
 
-def _probe(tree, t):
-    value = float(evaluate_expression(tree, t))
-    if not math.isfinite(value):
-        raise InvalidExponentError(f"expression is non-finite at probe point t={t:g}")
-    if value < 1.0 - 1e-12:
-        raise InvalidExponentError(f"expression is below 1 at probe point t={t:g}")
-    return max(value, 1.0)
-
-
-def exponent_values(q, grid):
-    """q at the nodes of a HaarGrid: q.on_grid(grid), evaluated and
-    validated once per grid."""
-    return q.on_grid(grid)
+def _checked(values, name):
+    """Exponent values or a limit, as an array: each must be finite and
+    >= 1 - 1e-12, and is clamped at 1."""
+    if not np.isfinite(values).all():
+        raise InvalidExponentError(f"{name} is not finite")
+    if (values < 1.0 - 1e-12).any():
+        raise InvalidExponentError(f"{name} is below 1")
+    return np.maximum(values, 1.0)
 
 
 def essential_bounds(p, grid):
     """Sampled (p_minus, p_plus) over the grid nodes."""
-    values = exponent_values(p, grid)
+    values = p.on_grid(grid)
     return float(np.min(values)), float(np.max(values))
 
 
@@ -431,7 +424,7 @@ def estimate_log_holder(p, grid):
         raise ConfigError("estimate_log_holder needs finite limits p(0) and p_inf")
     c0, cinf, cloc, witness = log_holder_constants(
         p, p.p_at_zero, p.p_at_infinity, grid.nodes)
-    fine = grid.refined(spo_factor=2)
+    fine = grid.refined()
     _, _, cloc_fine, _ = log_holder_constants(
         p, p.p_at_zero, p.p_at_infinity, fine.nodes)
     flagged = (cloc_fine - cloc) > 0.1 * max(cloc, 1e-12) + 0.05

@@ -25,7 +25,7 @@ import numpy as np
 from .couples import (Couple, GenericCouple, j_functional, k_functional,
                       k_functional_many)
 from .errors import CapacityError, ConfigError, ConstructionError
-from .exponents import ExponentFunction, essential_bounds, exponent_values
+from .exponents import ExponentFunction, essential_bounds
 from .rearrange import lorentz_norm
 from .varleb import (
     DEFAULT_GRID,
@@ -292,7 +292,7 @@ def prop_exponent_monotone(couple, f, theta, q, r, grid):
     Requires q <= r on the grid. Records ||f||_r / ||f||_q and the sup-norm
     ratio; both must be finite for nonzero f.
     """
-    if np.any(exponent_values(q, grid) > exponent_values(r, grid) + 1e-12):
+    if np.any(q.on_grid(grid) > r.on_grid(grid) + 1e-12):
         raise ConfigError("prop_exponent_monotone needs q <= r on the grid")
     norm_q = k_norm_continuous(couple, f, KMethodParams(theta, q, grid))
     norm_r = k_norm_continuous(couple, f, KMethodParams(theta, r, grid))
@@ -506,8 +506,7 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *,
     theta = (1.0 - eta) * theta0 + eta * theta1
 
     def outer_norm_on(grid_in):
-        q_values = (q.p_at_zero if q.is_constant
-                    else exponent_values(q, grid_in))
+        q_values = q.p_at_zero if q.is_constant else q.on_grid(grid_in)
         derived = _KMethodCouple(couple, grid_in, q_values, (theta0, theta1))
         alpha, _, cap_hits = derived.brute_force_many(
             2.0 ** np.arange(-outer_V, outer_V + 1), f,
@@ -525,7 +524,7 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *,
     refined_constant = None
     drift = None
     if refine:
-        outer2, cap_hit_fine = outer_norm_on(inner_grid.refined(spo_factor=2))
+        outer2, cap_hit_fine = outer_norm_on(inner_grid.refined())
         cap_hit |= cap_hit_fine
         ratio2 = outer2 / base if base > 0 else 1.0
         refined_constant = max(ratio2, 1.0 / ratio2) if ratio2 > 0 else math.inf

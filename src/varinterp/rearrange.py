@@ -13,7 +13,6 @@ an explicit finite computation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +51,6 @@ class AtomFunction:
         if np.any(masses <= 0.0):
             raise ConfigError("atom masses must be positive")
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        pairs = list(pairs)
-        if not pairs:
-            return cls(np.empty(0), np.empty(0))
-        values, masses = zip(*pairs)
-        return cls(np.asarray(values, dtype=float), np.asarray(masses, dtype=float))
-
     @property
     def total_l1(self):
         return float(np.dot(self.values, self.masses))
@@ -72,17 +63,6 @@ class AtomFunction:
         if c < 0:
             raise ConfigError("scale factor must be nonnegative")
         return AtomFunction(self.values * c, self.masses)
-
-    def to_json(self):
-        return json.dumps({"atoms": np.column_stack([self.values, self.masses]).tolist()})
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text) if isinstance(text, str) else text
-        try:
-            return cls.from_pairs([(float(v), float(m)) for v, m in data["atoms"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed atom-function JSON: {exc}") from exc
 
 
 def distribution_function(f, lam):

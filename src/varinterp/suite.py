@@ -505,8 +505,7 @@ def _lorentz_identification(rng, i, config):
     q = _rand_exponent(rng, i, equal_limits=True)
     f = _rand_atoms(rng)
     rep = lorentz_identification_check(f, theta, q, config.grid)
-    rep_fine = lorentz_identification_check(f, theta, q,
-                                            config.grid.refined(spo_factor=2))
+    rep_fine = lorentz_identification_check(f, theta, q, config.grid.refined())
     passed = rep.passed and rep_fine.passed
     if i % 25 == 0:
         scaled = lorentz_identification_check(f.scaled(4.0), theta, q,
@@ -560,7 +559,7 @@ def _hardy_continuous(rng, i, config):
     fn = _rand_block_callable(rng, grid.du)
     rep, rep_fine = (
         hardy_continuous_check(s, q, SampledFunction.from_callable(g, fn))
-        for g in (grid, grid.refined(spo_factor=2)))
+        for g in (grid, grid.refined()))
     return _Outcome(rep.constant, refined=rep_fine.constant)
 
 

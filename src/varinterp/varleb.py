@@ -34,7 +34,6 @@ norm of rearrange.py are one two-block norm with different weights.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, GridMismatchError
-from .exponents import essential_bounds, exponent_values
+from .exponents import essential_bounds
 
 __all__ = [
     "DEFAULT_GRID",
@@ -107,11 +106,9 @@ class HaarGrid:
         t.flags.writeable = False
         return t
 
-    def refined(self, spo_factor=1):
-        return HaarGrid(self.V, self.samples_per_octave * spo_factor)
-
-    def to_json(self):
-        return json.dumps({"V": self.V, "samples_per_octave": self.samples_per_octave})
+    def refined(self):
+        """The grid with twice the samples per octave on the same range."""
+        return HaarGrid(self.V, 2 * self.samples_per_octave)
 
 
 # the grid of the suite, the CLI and the reiteration check's direct norm
@@ -145,27 +142,10 @@ class SampledFunction:
             raise ConfigError("scale factor must be nonnegative")
         return SampledFunction(self.grid, self.values * c)
 
-    def to_json(self):
-        return json.dumps({
-            "grid": {"V": self.grid.V,
-                     "samples_per_octave": self.grid.samples_per_octave},
-            "values": self.values.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text) if isinstance(text, str) else text
-        try:
-            grid = HaarGrid(int(data["grid"]["V"]),
-                            int(data["grid"]["samples_per_octave"]))
-            return cls(grid, np.asarray(data["values"], dtype=float))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed sampled-function JSON: {exc}") from exc
-
 
 def modular(phi, q):
     """Midpoint-rule modular rho(phi) = sum phi^q du over the grid."""
-    q_values = exponent_values(q, phi.grid)
+    q_values = q.on_grid(phi.grid)
     with np.errstate(over="ignore"):
         total = float(np.sum(np.power(phi.values, q_values)) * phi.grid.du)
     return total
@@ -356,7 +336,7 @@ def luxemburg_norm(phi, q):
     constant exponent goes in as a scalar. It raises DivergenceError for a
     norm above about 1e300 and returns 0.0 for one below about 1e-300.
     """
-    exponent = q.p_at_zero if q.is_constant else exponent_values(q, phi.grid)
+    exponent = q.p_at_zero if q.is_constant else q.on_grid(phi.grid)
     return weighted_power_norm(phi.values, exponent, phi.grid.du)
 
 

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from varinterp import (
+    AtomFunction,
+    Couple,
     ExponentFunction,
     HaarGrid,
     InvalidExponentError,
+    NormSpec,
     SampledFunction,
+    k_functional,
     luxemburg_norm,
 )
 from varinterp.cli import main, parse_exponent
@@ -16,10 +20,16 @@ from varinterp.cli import main, parse_exponent
 GRID = HaarGrid(4, 4)
 
 
+def function_json(fn):
+    return json.dumps({"grid": {"V": fn.grid.V,
+                                "samples_per_octave": fn.grid.samples_per_octave},
+                       "values": fn.values.tolist()})
+
+
 def sampled_json():
     rng = np.random.default_rng(11)
     fn = SampledFunction(GRID, rng.uniform(0.0, 2.0, GRID.node_count))
-    return fn, fn.to_json()
+    return fn, function_json(fn)
 
 
 def test_parse_exponent_plain():
@@ -42,6 +52,18 @@ def test_parse_exponent_rejects_contradiction():
         parse_exponent("2 @0=1.0")
 
 
+def test_parse_exponent_rejects_limits_below_one(capsys):
+    # within 0.1 of the probed limit 1, but not an exponent's limit
+    with pytest.raises(InvalidExponentError):
+        parse_exponent("1 + t @0=0.95")
+    with pytest.raises(InvalidExponentError):
+        parse_exponent("2 + t @0=nan")
+    _, text = sampled_json()
+    code = main(["norm", "--exponent", "1 + t @0=0.95", "--function", text])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_parse_exponent_rejects_unknown_annotation():
     with pytest.raises(InvalidExponentError):
         parse_exponent("2 @mid=2")
@@ -54,6 +76,7 @@ def test_norm_command(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["norm"] == pytest.approx(
         luxemburg_norm(fn, ExponentFunction.constant(2.0)), rel=1e-12)
+    assert out["grid"] == {"V": 4, "samples_per_octave": 4}
 
 
 def test_norm_command_reads_file(tmp_path, capsys):
@@ -83,7 +106,7 @@ def test_norm_command_rejects_atoms(capsys):
 def test_norm_command_divergence(capsys):
     grid = HaarGrid(2, 1)
     fn = SampledFunction(grid, np.full(grid.node_count, 1e308))
-    code = main(["norm", "--exponent", "2", "--function", fn.to_json()])
+    code = main(["norm", "--exponent", "2", "--function", function_json(fn)])
     assert code == 3
     assert "divergence" in capsys.readouterr().err
 
@@ -97,6 +120,57 @@ def test_kfunc_command(capsys):
     assert out["t"] == [2.0, 0.1]
     assert out["K"][0] == pytest.approx(2.0)
     assert out["K"][1] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("text, couple, element", [
+    ('{"kind": "weighted_seq", "w0": [1.0, 2.5], "w1": [3.0, 0.5]}',
+     Couple.weighted_seq([1.0, 2.5], [3.0, 0.5]), [0.7, -1.3]),
+    ('{"kind": "l1_linf"}', Couple.l1_linf(),
+     AtomFunction([3.0, 1.0, 2.0], [0.5, 2.0, 0.25])),
+    ('{"kind": "finite_generic", "norm0": {"p": 2, "weights": [1.0, 1.5]},'
+     ' "norm1": {"p": "inf", "weights": [1.0, 2.0]}}',
+     Couple.finite_generic(NormSpec(2.0, [1.0, 1.5]), NormSpec(np.inf, [1.0, 2.0])),
+     [0.7, -1.3]),
+    ('{"kind": "finite_generic", "norm0": {"p": 1.5, "weights": [2.0, 1.0]},'
+     ' "norm1": {"p": 1, "weights": [0.5, 3.0]}}',
+     Couple.finite_generic(NormSpec(1.5, [2.0, 1.0]), NormSpec(1.0, [0.5, 3.0])),
+     [0.7, -1.3]),
+])
+def test_kfunc_command_decodes_each_couple_kind(text, couple, element, capsys):
+    if isinstance(element, AtomFunction):
+        function = json.dumps({"atoms": np.column_stack(
+            [element.values, element.masses]).tolist()})
+    else:
+        function = json.dumps(element)
+    ts = [0.1, 1.0, 7.5]
+    code = main(["kfunc", "--couple", text, "--function", function,
+                 "--t", ",".join(map(repr, ts))])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    # bit for bit: JSON floats round-trip exactly
+    assert out["K"] == [k_functional(couple, t, element) for t in ts]
+
+
+@pytest.mark.parametrize("args", [
+    ["kfunc", "--couple", '{"kind": "no_such_kind"}', "--function", "[1.0]",
+     "--t", "1"],
+    ["kfunc", "--couple", '{"kind": "weighted_seq", "w0": [1.0]}',
+     "--function", "[1.0]", "--t", "1"],
+    ["kfunc", "--couple", '{"w0": [1.0], "w1": [1.0]}', "--function", "[1.0]",
+     "--t", "1"],
+    ["kfunc", "--couple", '{"kind": "finite_generic", "norm0": {"p": 2}, '
+     '"norm1": {"p": 2, "weights": [1.0]}}', "--function", "[1.0]", "--t", "1"],
+    ["rearrange", "--function", '{"atoms": [[1.0]]}'],
+    ["rearrange", "--function", '{"atoms": 3}'],
+    ["norm", "--exponent", "2", "--function", '{"values": [1.0, 2.0]}'],
+    ["norm", "--exponent", "2", "--function",
+     '{"grid": {"V": 1}, "values": [1.0, 2.0]}'],
+])
+def test_malformed_json_exits_two(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_kfunc_command_needs_t_values(capsys):

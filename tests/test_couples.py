@@ -535,17 +535,6 @@ def test_brute_force_k_runs_without_scipy():
     assert float(proc.stdout) > 0.0
 
 
-def test_couple_json_round_trip():
-    c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
-    c2 = Couple.from_json(c.to_json())
-    assert np.array_equal(c2.w0, c.w0) and np.array_equal(c2.w1, c.w1)
-    assert Couple.from_json(LL.to_json()).kind == "l1_linf"
-    g = Couple.finite_generic(NormSpec(2.0, [1.0, 1.0]), NormSpec("inf", [1.0, 2.0]))
-    g2 = Couple.from_json(g.to_json())
-    f = np.array([0.7, -1.3])
-    assert g2.norm0(f) == g.norm0(f) and g2.norm1(f) == g.norm1(f)
-
-
 def test_operator_exact_bounds_and_application():
     c = Couple.weighted_seq([1.0, 1.0], [1.0, 4.0])
     M = np.array([[0.5, 0.2], [-0.1, 0.8]])

@@ -174,6 +174,21 @@ def test_call_rejects_bad_arguments():
         p(math.inf)
 
 
+@pytest.mark.parametrize("limits", [
+    {"p_at_zero": 0.95}, {"p_at_infinity": 0.5},
+    {"p_at_zero": math.nan}, {"p_at_infinity": math.inf},
+    {"p_at_zero": -math.inf},
+])
+def test_given_limits_checked_as_probed_ones(limits):
+    with pytest.raises(InvalidExponentError):
+        ExponentFunction.from_expression("2 + t", **limits)
+
+
+def test_given_limit_clamped_at_one():
+    p = ExponentFunction.from_expression("1 + t", p_at_zero=1.0 - 1e-13)
+    assert p.p_at_zero == 1.0
+
+
 def test_expression_below_one_rejected_at_call():
     p = ExponentFunction.from_expression("1 - min(t, 1/t)",
                                          p_at_zero=1.0, p_at_infinity=1.0)

@@ -104,7 +104,7 @@ def test_hardy_continuous_block_closed_form():
     assert rep.constant == pytest.approx(expect, rel=2e-3)
 
     fine = hardy_continuous_check(
-        1.0, Q2, SampledFunction.from_callable(grid.refined(spo_factor=4), block))
+        1.0, Q2, SampledFunction.from_callable(grid.refined().refined(), block))
     assert abs(fine.constant - expect) < abs(rep.constant - expect) + 1e-6
 
 
@@ -118,7 +118,7 @@ def test_hardy_continuous_stable_under_refinement(s):
 
     rep = hardy_continuous_check(s, Q2, SampledFunction.from_callable(grid, block))
     fine = hardy_continuous_check(
-        s, Q2, SampledFunction.from_callable(grid.refined(spo_factor=2), block))
+        s, Q2, SampledFunction.from_callable(grid.refined(), block))
     assert rep.constant > 0.0
     assert abs(fine.constant - rep.constant) <= 0.05 * rep.constant
 

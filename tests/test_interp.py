@@ -30,7 +30,6 @@ from varinterp import (
     reiteration_check,
 )
 from varinterp import couples, interp
-from varinterp.exponents import exponent_values
 from varinterp.interp import (
     prop_equal_limits,
     prop_exponent_monotone,
@@ -330,8 +329,7 @@ def reiteration_by_per_t_loop(calls, couple, f, theta0, theta1, eta, q, *,
         def make_norm(theta_i, q_i):
             # t_j^{-theta} K(t_j, g) for every row g of G is |G| @ kernel
             kernel = (cost * ts[:, None] ** -theta_i).T
-            q_values = (q_i.p_at_zero if q_i.is_constant
-                        else exponent_values(q_i, grid_in))
+            q_values = q_i.p_at_zero if q_i.is_constant else q_i.on_grid(grid_in)
 
             def nrm(G):
                 return interp.weighted_power_norm(np.abs(G) @ kernel, q_values,
@@ -355,7 +353,7 @@ def reiteration_by_per_t_loop(calls, couple, f, theta0, theta1, eta, q, *,
     outer = outer_norm_on(inner_grid)
     base = k_norm_continuous(couple, f, KMethodParams(theta, q, base_grid))
     ratio = outer / base
-    ratio2 = outer_norm_on(inner_grid.refined(spo_factor=2)) / base
+    ratio2 = outer_norm_on(inner_grid.refined()) / base
     return outer, max(ratio, 1.0 / ratio), max(ratio2, 1.0 / ratio2)
 
 
@@ -440,7 +438,7 @@ def test_derived_cost_many_equals_its_two_norms_bit_for_bit(q, monkeypatch):
     grid = HaarGrid(4, 4)
     c = Couple.weighted_seq(10.0 ** rng.uniform(-1, 1, 3),
                             10.0 ** rng.uniform(-1, 1, 3))
-    q_values = q if isinstance(q, float) else exponent_values(q, grid)
+    q_values = q if isinstance(q, float) else q.on_grid(grid)
     derived = interp._KMethodCouple(c, grid, q_values, (0.3, 0.7))
     f = rng.uniform(-2, 2, 3)
     calls = []

@@ -36,13 +36,6 @@ def test_atom_function_validation():
         AtomFunction([1.0, 2.0], [1.0])
 
 
-def test_atom_function_json_round_trip():
-    f = AtomFunction([3.0, 1.0], [0.5, 2.0])
-    g = AtomFunction.from_json(f.to_json())
-    assert np.array_equal(g.values, f.values)
-    assert np.array_equal(g.masses, f.masses)
-
-
 def test_rearrangement_profile_merges_and_sorts():
     f = AtomFunction([3.0, 1.0, 2.0], [0.5, 1.0, 0.25])
     prof = rearrangement(f)

@@ -59,7 +59,8 @@ def test_v_extension_is_node_superset():
 
 def test_refined_grid():
     grid = HaarGrid(8, 16)
-    assert grid.refined(spo_factor=2) == HaarGrid(8, 32)
+    assert grid.refined() == HaarGrid(8, 32)
+    assert grid.refined().refined() == HaarGrid(8, 64)
 
 
 def test_sampled_function_validation():
