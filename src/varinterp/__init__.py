@@ -55,9 +55,6 @@ from .couples import (
     k_functional_many,
     k_truncation_oracle,
     kj_inequality_check,
-    norm_intersection,
-    norm_sum,
-    operator_bound_check,
 )
 from .interp import (
     JRepresentation,
@@ -71,18 +68,18 @@ from .interp import (
     k_norm_sup,
     kj_equivalence_check,
     lorentz_identification_check,
+    operator_bound_check,
     proposition_checks,
     reiteration_check,
 )
 from .hardy import (
-    HardyInstance,
     hardy_continuous_check,
     hardy_discrete_check,
     key_estimate_check,
 )
-from .reports import CheckReport
 from .suite import (
     CHECK_IDS,
+    CheckReport,
     CheckSuiteConfig,
     instance_rng,
     run_check,
@@ -107,7 +104,6 @@ __all__ = [
     "ExponentSyntaxError",
     "GridMismatchError",
     "HaarGrid",
-    "HardyInstance",
     "InvalidExponentError",
     "JRepresentation",
     "KMethodParams",
@@ -149,8 +145,6 @@ __all__ = [
     "luxemburg_norm",
     "modular",
     "modular_norm_sandwich",
-    "norm_intersection",
-    "norm_sum",
     "operator_bound_check",
     "parse_exponent",
     "proposition_checks",

@@ -62,8 +62,6 @@ __all__ = [
     "KJInequalityReport",
     "LinearOperatorSpec",
     "apply_operator",
-    "operator_bound_check",
-    "OperatorBoundReport",
 ]
 
 
@@ -317,16 +315,6 @@ def _require_positive(t):
 def _require_finite(couple, f):
     if couple.is_vector_couple and not np.isfinite(np.asarray(f, dtype=float)).all():
         raise ConfigError("a vector of a vector couple must be finite")
-
-
-def norm_sum(couple, f):
-    """Norm of f in A0 + A1, which equals K(1, f)."""
-    return k_functional(couple, 1.0, f)
-
-
-def norm_intersection(couple, f):
-    """Norm of f in A0 cap A1: max of the two norms, i.e. J(1, f)."""
-    return max(couple.norm0(f), couple.norm1(f))
 
 
 def k_functional(couple, t, f):
@@ -627,33 +615,3 @@ def apply_operator(op, f):
     if f.shape != (op.matrix.shape[1],):
         raise ConfigError("operator and vector dimensions do not match")
     return op.matrix @ f
-
-
-@dataclass(frozen=True)
-class OperatorBoundReport:
-    lhs: float
-    rhs: float
-    bound0: float
-    bound1: float
-    base_norm: float
-    passed: bool
-
-
-def operator_bound_check(op, couple, theta, q, f, grid):
-    """Interpolated bound ||Tf|| <= max(M0, M1) ||f|| in the K-method norm.
-
-    The pointwise inequality K(t, Tf) <= max(M0, M1) K(t, f) holds at every
-    grid node, and the Luxemburg norm respects pointwise domination, so the
-    check passes with a small relative slack whenever the attached bounds
-    are genuine.
-    """
-    from .interp import KMethodParams, k_norm_continuous
-
-    params = KMethodParams(theta, q, grid)
-    tf = apply_operator(op, f)
-    lhs = k_norm_continuous(couple, tf, params)
-    base = k_norm_continuous(couple, f, params)
-    cap = max(op.bound0, op.bound1)
-    rhs = cap * base
-    passed = lhs <= rhs * (1.0 + 1e-6) + 1e-300
-    return OperatorBoundReport(lhs, rhs, op.bound0, op.bound1, base, passed)

@@ -35,7 +35,6 @@ __all__ = [
     "LogHolderReport",
     "parse_expression",
     "evaluate_expression",
-    "essential_bounds",
     "estimate_log_holder",
     "log_holder_constants",
 ]
@@ -352,12 +351,6 @@ def _checked(values, name):
     return np.maximum(values, 1.0)
 
 
-def essential_bounds(p, grid):
-    """Sampled (p_minus, p_plus) over the grid nodes."""
-    values = p.on_grid(grid)
-    return float(np.min(values)), float(np.max(values))
-
-
 # ---------------------------------------------------------------------------
 # Log-Holder estimation
 # ---------------------------------------------------------------------------
@@ -370,7 +363,7 @@ class LogHolderReport:
     c_log_local: float
     worst_witness: tuple
     grid_used: object
-    suspected_non_log_holder: bool = False
+    suspected_non_log_holder: bool
 
 
 def _log_holder_endpoints(values, limit_at_zero, limit_at_infinity, nodes):

@@ -27,7 +27,6 @@ from .exponents import _log_holder_endpoints
 from .varleb import SampledFunction, _two_sided, luxemburg_norm
 
 __all__ = [
-    "HardyInstance",
     "hardy_discrete_check",
     "HardyDiscreteReport",
     "hardy_continuous_check",
@@ -35,24 +34,6 @@ __all__ = [
     "key_estimate_check",
     "KeyEstimateReport",
 ]
-
-
-@dataclass(frozen=True)
-class HardyInstance:
-    """Inputs of the discrete Hardy check: ratio a, exponent q > 0 (a
-    number, possibly inf) and data epsilon, an array eps_{-V}, ..., eps_V of
-    length 2V + 1 >= 3 with finite nonnegative entries."""
-
-    a: float
-    q: float
-    epsilon: object
-
-    def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
-            raise ConfigError("the ratio a must lie in (0, 1)")
-        if not self.q > 0.0:
-            raise ConfigError("the exponent q must be positive")
-        object.__setattr__(self, "epsilon", _two_sided(self.epsilon))
 
 
 def _sequence_norm(x, q):
@@ -73,17 +54,21 @@ class HardyDiscreteReport:
     within_cap: bool
 
 
-def hardy_discrete_check(instance):
-    """Measure ||delta||_q / ||eps||_q for delta_k = sum_j a^{|k-j|} eps_j.
+def hardy_discrete_check(a, q, epsilon):
+    """Measure ||delta||_q / ||eps||_q for delta_k = sum_j a^{|k-j|} eps_j,
+    with 0 < a < 1, q > 0 (maybe inf) and epsilon = eps_{-V}, ..., eps_V.
 
     Indices run over the truncated range of the sequence. For q >= 1 the
     constant is capped by (1+a)/(1-a); for 0 < q < 1 the q-subadditive
     analogue ((1+a^q)/(1-a^q))^{1/q} applies. within_cap compares against
     the applicable cap with a 1 percent margin.
     """
-    a = instance.a
-    q = float(instance.q)
-    eps = instance.epsilon
+    if not 0.0 < a < 1.0:
+        raise ConfigError("the ratio a must lie in (0, 1)")
+    if not q > 0.0:
+        raise ConfigError("the exponent q must be positive")
+    eps = _two_sided(epsilon)
+    q = float(q)
     k = np.arange(len(eps))
     kernel = a ** np.abs(k[:, None] - k[None, :])
     delta = kernel @ eps

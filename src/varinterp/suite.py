@@ -15,6 +15,7 @@ accepted and passes and the reducer's corpus condition holds.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import tempfile
@@ -31,12 +32,10 @@ from .couples import (
     k_functional,
     k_truncation_oracle,
     kj_inequality_check,
-    operator_bound_check,
 )
 from .errors import ConfigError
 from .exponents import ExponentFunction
 from .hardy import (
-    HardyInstance,
     hardy_continuous_check,
     hardy_discrete_check,
     key_estimate_check,
@@ -50,6 +49,7 @@ from .interp import (
     k_norm_discrete,
     kj_equivalence_check,
     lorentz_identification_check,
+    operator_bound_check,
     prop_equal_limits,
     prop_exponent_monotone,
     prop_identical_couple,
@@ -64,7 +64,6 @@ from .rearrange import (
     lorentz_norm,
     rearrangement,
 )
-from .reports import CheckReport
 from .varleb import (
     DEFAULT_GRID,
     HaarGrid,
@@ -77,6 +76,7 @@ from .varleb import (
 )
 
 __all__ = [
+    "CheckReport",
     "CheckSuiteConfig",
     "CHECK_IDS",
     "instance_rng",
@@ -209,6 +209,39 @@ def _rand_block_callable(rng, quantum):
 # ---------------------------------------------------------------------------
 # Outcomes, reducers and the check runner
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one randomized check over a corpus of instances.
+
+    constant is the check's headline number, condensed from the instance
+    outcomes by the check's reducer: a worst error or margin, a fraction of
+    passing instances, or a corpus equivalence constant. The check table
+    below says for each check what it means. instances counts the
+    instances accepted by the check's hypotheses; refinement_drift is None
+    for checks without a refinement stage.
+    """
+
+    check: str
+    instances: int
+    constant: float
+    worst_instance: int
+    passed: bool
+    refinement_drift: float | None
+
+    def to_json_dict(self):
+        return {
+            "check": self.check,
+            "instances": self.instances,
+            "constant": self.constant,
+            "worst_instance": self.worst_instance,
+            "pass": self.passed,
+            "refinement_drift": self.refinement_drift,
+        }
+
+    def to_json(self):
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -548,7 +581,7 @@ def _hardy_discrete(rng, i, config):
         q = float(rng.uniform(1.0, 4.0))
     V = 24
     values = rng.uniform(0.0, 1.0, 2 * V + 1) * (rng.random(2 * V + 1) < 0.7)
-    rep = hardy_discrete_check(HardyInstance(a, q, values))
+    rep = hardy_discrete_check(a, q, values)
     return _Outcome(rep.constant / rep.cap, rep.within_cap)
 
 
@@ -715,9 +748,8 @@ class CheckSuiteConfig:
 
 
 def run_check(check_id, *, seed=42, trials=100, grid=None):
-    """Run a single check by identifier and return its CheckReport."""
-    if check_id not in CHECK_REGISTRY:
-        raise ConfigError(f"unknown check id {check_id!r}")
+    """Run a single check by identifier and return its CheckReport; an
+    unknown identifier raises ConfigError."""
     config = CheckSuiteConfig(seed=seed, trials=trials,
                               grid=grid if grid is not None else DEFAULT_GRID,
                               checks=(check_id,))

@@ -41,7 +41,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, GridMismatchError
-from .exponents import essential_bounds
 
 __all__ = [
     "DEFAULT_GRID",
@@ -376,7 +375,8 @@ def modular_norm_sandwich(phi, q):
     """
     rho = modular(phi, q)
     norm = luxemburg_norm(phi, q)
-    q_minus, q_plus = essential_bounds(q, phi.grid)
+    q_values = q.on_grid(phi.grid)
+    q_minus, q_plus = float(np.min(q_values)), float(np.max(q_values))
     e = math.frexp(float(phi.values.max()))[1]
     scaled = modular(SampledFunction(phi.grid, np.ldexp(phi.values, -e)), q)
     if scaled == 0.0:

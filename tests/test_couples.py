@@ -28,8 +28,6 @@ from varinterp import (
     k_functional_many,
     k_truncation_oracle,
     kj_inequality_check,
-    norm_intersection,
-    norm_sum,
     operator_bound_check,
 )
 from varinterp import couples
@@ -59,14 +57,14 @@ def test_l1_linf_norms_on_atoms():
     f = AtomFunction([3.0], [2.0])
     assert LL.norm0(f) == pytest.approx(6.0)  # L1
     assert LL.norm1(f) == pytest.approx(3.0)  # Linf
-    assert norm_intersection(LL, f) == pytest.approx(6.0)
+    assert j_functional(LL, 1.0, f) == pytest.approx(6.0)
 
 
 def test_sum_and_intersection_on_identical_couple():
     c = Couple.weighted_seq([1.0, 1.0], [1.0, 1.0])
     f = np.array([1.0, 1.0])
-    assert norm_sum(c, f) == pytest.approx(2.0)
-    assert norm_intersection(c, f) == pytest.approx(2.0)
+    assert k_functional(c, 1.0, f) == pytest.approx(2.0)
+    assert j_functional(c, 1.0, f) == pytest.approx(2.0)
 
 
 def test_k_functional_worked_examples():

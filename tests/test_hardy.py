@@ -8,7 +8,6 @@ from varinterp import (
     ExponentFunction,
     GridMismatchError,
     HaarGrid,
-    HardyInstance,
     SampledFunction,
     hardy_continuous_check,
     hardy_discrete_check,
@@ -27,27 +26,27 @@ def impulse(V=24):
 
 def test_hardy_instance_validation():
     with pytest.raises(ConfigError):
-        HardyInstance(1.0, 2.0, impulse())
+        hardy_discrete_check(1.0, 2.0, impulse())
     with pytest.raises(ConfigError):
-        HardyInstance(0.0, 2.0, impulse())
+        hardy_discrete_check(0.0, 2.0, impulse())
     with pytest.raises(ConfigError):
-        HardyInstance(0.5, 0.0, impulse())
+        hardy_discrete_check(0.5, 0.0, impulse())
     # epsilon is eps_{-V}, ..., eps_V: finite, nonnegative, of length 2V + 1 >= 3
     for bad in (math.nan, math.inf, -math.inf, -1.0):
         eps = impulse()
         eps[3] = bad
         with pytest.raises(ConfigError, match="finite and nonnegative"):
-            HardyInstance(0.5, 2.0, eps)
+            hardy_discrete_check(0.5, 2.0, eps)
     for eps in (np.ones(4), np.ones(1), np.ones((3, 3))):
         with pytest.raises(GridMismatchError):
-            HardyInstance(0.5, 2.0, eps)
+            hardy_discrete_check(0.5, 2.0, eps)
 
 
 def test_hardy_discrete_impulse_q1():
     # y_k = a^{|k|}; the l1 norm 1 + 2(a + ... + a^V) hits the cap up to the
     # truncated tail: 3 - 2^{1-V} at a = 1/2
     V = 24
-    rep = hardy_discrete_check(HardyInstance(0.5, 1.0, impulse(V)))
+    rep = hardy_discrete_check(0.5, 1.0, impulse(V))
     assert rep.constant == pytest.approx(3.0 - 2.0 ** (1 - V), rel=1e-14)
     assert rep.cap == pytest.approx(3.0)
     assert rep.within_cap
@@ -55,14 +54,14 @@ def test_hardy_discrete_impulse_q1():
 
 def test_hardy_discrete_impulse_q2():
     V, a = 24, 0.5
-    rep = hardy_discrete_check(HardyInstance(a, 2.0, impulse(V)))
+    rep = hardy_discrete_check(a, 2.0, impulse(V))
     expect = math.sqrt(1.0 + 2.0 * (a ** 2 / (1.0 - a ** 2)) * (1.0 - a ** (2 * V)))
     assert rep.constant == pytest.approx(expect, rel=1e-14)
     assert rep.within_cap
 
 
 def test_hardy_discrete_impulse_qinf():
-    rep = hardy_discrete_check(HardyInstance(0.5, math.inf, impulse()))
+    rep = hardy_discrete_check(0.5, math.inf, impulse())
     assert rep.constant == pytest.approx(1.0)
     assert rep.within_cap
 
@@ -71,7 +70,7 @@ def test_hardy_discrete_sub_one_exponent_cap():
     # for q < 1 the cap is ((1+a^q)/(1-a^q))^{1/q}; the impulse nearly
     # saturates it
     a, q = 0.5, 0.7
-    rep = hardy_discrete_check(HardyInstance(a, q, impulse()))
+    rep = hardy_discrete_check(a, q, impulse())
     cap = ((1.0 + a ** q) / (1.0 - a ** q)) ** (1.0 / q)
     assert rep.cap == pytest.approx(cap, rel=1e-12)
     assert rep.within_cap
@@ -80,7 +79,7 @@ def test_hardy_discrete_sub_one_exponent_cap():
 
 def test_hardy_discrete_zero_sequence():
     V = 8
-    rep = hardy_discrete_check(HardyInstance(0.3, 2.0, np.zeros(2 * V + 1)))
+    rep = hardy_discrete_check(0.3, 2.0, np.zeros(2 * V + 1))
     assert rep.constant == 0.0
     assert rep.within_cap
 

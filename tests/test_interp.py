@@ -18,6 +18,7 @@ from varinterp import (
     construct_j_representation,
     density_check,
     embedding_checks,
+    j_functional,
     k_brute_force,
     k_norm_continuous,
     k_norm_discrete,
@@ -25,7 +26,6 @@ from varinterp import (
     kj_equivalence_check,
     lambda_norm,
     lorentz_identification_check,
-    norm_intersection,
     proposition_checks,
     reiteration_check,
 )
@@ -170,11 +170,11 @@ def test_j_norm_discrete_single_term():
     zero = np.zeros(2)
     V = 3
     terms = [zero] * V + [u0] + [zero] * V
-    j_values = np.array([0.0] * V + [norm_intersection(WS, u0)] + [0.0] * V)
+    j_values = np.array([0.0] * V + [j_functional(WS, 1.0, u0)] + [0.0] * V)
     rep = JRepresentation(terms, np.zeros(2 * V + 1), j_values,
                           np.zeros(2 * V + 1), 0.0, True)
     got = lambda_norm(rep.j_values, 0.5, 2.0, 2.0)
-    assert got == pytest.approx(norm_intersection(WS, u0), rel=1e-14)
+    assert got == pytest.approx(j_functional(WS, 1.0, u0), rel=1e-14)
 
 
 def test_kj_equivalence_check():
