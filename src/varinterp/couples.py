@@ -16,8 +16,8 @@
   small), given as `NormSpec`s or callables that map a (B, n) array to the
   B norms of its rows. No closed form; K is computed by the brute-force
   minimizer below, which is also the independent oracle for the closed
-  forms of the other two classes. Its one loop over t, warm-started at
-  the last minimizer, is `GenericCouple.brute_force_many`.
+  forms of the other two classes. Its loop over t, one independent search
+  per t, is `GenericCouple.brute_force_many`.
 
 Decompositions and batch norms work on value arrays: a row is a vector of
 R^n, or the atom values of a function on the atoms of f. Every norm here
@@ -264,24 +264,20 @@ class GenericCouple(Couple):
         return self.norms[1](G)
 
     def brute_force_many(self, ts, f, *, resolution=1e-8, n_random_starts=8):
-        """Brute-force K (see k_brute_force) at every t in ascending order,
-        the first cold and each later one warm-started at the last
-        minimizer; (values, minimizers, cap_hits) in the order of ts, where
-        cap_hits flags the t whose search hit its evaluation cap."""
+        """Brute-force K (see k_brute_force) at every t, one search each;
+        (values, minimizers, cap_hits) in the order of ts, where cap_hits
+        flags the t whose search hit its evaluation cap."""
         f = np.asarray(f, dtype=float)
         values = np.empty(len(ts))
         minimizers = np.empty((len(ts), len(f)))
         cap_hits = np.zeros(len(ts), dtype=bool)
-        warm = ()
-        for pos in np.argsort(ts):
-            result = k_brute_force(self, float(ts[pos]), f,
-                                   resolution=resolution,
+        for pos, t in enumerate(ts):
+            result = k_brute_force(self, float(t), f, resolution=resolution,
                                    n_random_starts=n_random_starts,
-                                   extra_starts=warm, return_details=True)
+                                   return_details=True)
             values[pos] = result.value
             minimizers[pos] = result.minimizer
             cap_hits[pos] = result.cap_hit
-            warm = (result.minimizer,)
         return values, minimizers, cap_hits
 
     def _brute_force_checked(self, ts, f):

@@ -484,7 +484,16 @@ class _KMethodCouple(GenericCouple):
     """(X_0, X_1), X_i = (A0, A1)_{theta_i, q} normed on a grid, for a
     weighted sequence couple: t_j^{-theta_i} K(t_j, g) for each row g of G
     is |G| @ kernel_i. Both norms share q and du, so cost_many solves the
-    rows of both in one call."""
+    rows of both in one call.
+
+    Both norms N_i(g) are Luxemburg norms of |g| @ kernel_i with a positive
+    kernel, so K(t, f) has two bounds in closed form (corner_bounds): the
+    best corner g = S f, S a subset of the coordinates, bounds it from
+    above, and K-J duality (Bergh-Lofstrom, section 3.7) from below.
+    brute_force_many searches only the t whose bounds are further apart
+    than the search's own resolution, relatively; every other t takes the
+    best corner's value and the corner as its minimizer.
+    """
 
     def __init__(self, couple, grid, q_values, thetas):
         ts = grid.nodes
@@ -504,6 +513,74 @@ class _KMethodCouple(GenericCouple):
             self.q_values, self.du)
         return norms[:len(G)] + t * norms[len(G):]
 
+    def corner_bounds(self, ts, f):
+        """(upper, corners, lower) at every t of ts, with
+        lower(t) <= K(t, f) <= upper(t).
+
+        upper(t) = min_S N0(S f) + t N1(f - S f) over the 2^n subsets S of
+        the coordinates, reached at the corner S f, row j of corners. Its
+        rows S |f| @ kernel_i are one matrix product of at least 2 rows, as
+        in cost_many (a product of one row may differ in the last bit), so
+        at g = 0 and g = f upper(t) has the bits of the search's starts.
+
+        lower(t) comes from duality. The gradient phi of a Luxemburg norm N
+        at b != 0, phi_j = q_j tau_j / b_j / (sum_i q_i tau_i / N) with
+        tau_i = du (b_i / N)^{q_i}, lies in the dual unit ball, as does 0.
+        On every split f = g + (f - g) it bounds N_i(g) from below by
+        sum_k |g_k| (kernel_i phi)_k, and so K(t, f) by
+        sum_k |f_k| min(a_k, t b_k), a = kernel0 phi0 and b = kernel1 phi1.
+        lower(t) is the largest such sum over the gradients at every row
+        S |f| @ kernel_i, phi0 and phi1 taken at any two rows.
+        """
+        n = len(f)
+        keep = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1
+        rows = np.where(keep, np.abs(f), 0.0)
+        bases = [rows @ kernel for kernel in self.kernels]
+        norms = [weighted_power_norm(b, self.q_values, self.du) for b in bases]
+        # the complement of subset s is 2^n - 1 - s
+        costs = norms[0] + ts[:, None] * norms[1][::-1]
+        best = costs.argmin(axis=1)
+        upper = costs[np.arange(len(ts)), best]
+        corners = np.where(keep[best], f, 0.0)
+
+        q = self.q_values
+        duals = []
+        for kernel, b, norm in zip(self.kernels, bases, norms):
+            # phi with du cancelled and written without 1/b_j, which a zero
+            # base would make 0/0; a row of norm 0 keeps phi = 0
+            phi = np.zeros_like(b)
+            live = norm > 0.0
+            ratio = b[live] / norm[live, None]
+            phi[live] = (q * ratio ** (q - 1.0)
+                         / (q * ratio ** q).sum(axis=1, keepdims=True))
+            duals.append(phi @ kernel.T)
+        a, b = duals
+        # sums[j, S, S'] = sum_k |f_k| min(a[S, k], t_j b[S', k])
+        sums = (np.abs(f) * np.minimum(a[None, :, None, :],
+                                       ts[:, None, None, None] * b[None, None])
+                ).sum(axis=-1)
+        lower = sums.max(axis=(1, 2))
+        return upper, corners, lower
+
+    def brute_force_many(self, ts, f, *, resolution=1e-8, n_random_starts=8):
+        """(values, minimizers, flags) as GenericCouple.brute_force_many, but
+        searched only at the t with upper(t) - lower(t) > resolution
+        upper(t) (see corner_bounds); every other t takes upper(t) and its
+        corner. flags marks a search that hit its evaluation cap or ended
+        below lower(t) (1 - 1e-9): the search or the bound is then wrong."""
+        ts = np.asarray(ts, dtype=float)
+        f = np.asarray(f, dtype=float)
+        values, minimizers, lower = self.corner_bounds(ts, f)
+        flags = np.zeros(len(ts), dtype=bool)
+        searched = values - lower > resolution * values
+        if searched.any():
+            found, at, cap_hits = super().brute_force_many(
+                ts[searched], f, resolution=resolution,
+                n_random_starts=n_random_starts)
+            values[searched], minimizers[searched] = found, at
+            flags[searched] = cap_hits | (found < lower[searched] * (1.0 - 1e-9))
+        return values, minimizers, flags
+
 
 def reiteration_check(couple, f, theta0, theta1, eta, q, *,
                       inner_grid=None, outer_V=10, base_grid=None,
@@ -512,14 +589,18 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *,
 
     Builds X_i = (A0, A1)_{theta_i, q} as a derived generic couple whose
     norms are the continuous K-method norms on an inner grid, evaluates the
-    outer discrete norm of f in (X_0, X_1)_{eta, q} by the couple's
-    brute-force K at t = 2^-outer_V, ..., 2^outer_V, one random start each,
-    and compares with the direct norm at theta = (1-eta) theta0 + eta theta1.
-    The couple must be a weighted sequence couple: K is linear in |g|
-    there, so the brute-force objective of a batch of g, both derived norms,
-    is two matrix products and one batched Luxemburg solve.
+    outer discrete norm of f in (X_0, X_1)_{eta, q} by the couple's K at
+    t = 2^-outer_V, ..., 2^outer_V, and compares with the direct norm at
+    theta = (1-eta) theta0 + eta theta1. The couple must be a weighted
+    sequence couple: K is linear in |g| there, so the brute-force objective
+    of a batch of g, both derived norms, is two matrix products and one
+    batched Luxemburg solve, and K has a lower bound by duality. Where that
+    bound lies within resolution (relatively) of the best corner g = S f,
+    K is that corner's value; every other t is searched by brute force, one
+    random start each (see _KMethodCouple).
     Refining the inner grid may move the equivalence constant by at most
-    0.1, relatively. A brute-force K that hits its evaluation cap fails.
+    0.1, relatively. A brute-force K that hits its evaluation cap, or that
+    ends below the duality bound by more than 1e-9 relatively, fails.
     """
     if not couple.is_vector_couple:
         raise ConfigError("reiteration_check needs a finite-dimensional couple")
@@ -538,15 +619,15 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *,
     def outer_norm_on(grid_in):
         q_values = q.p_at_zero if q.is_constant else q.on_grid(grid_in)
         derived = _KMethodCouple(couple, grid_in, q_values, (theta0, theta1))
-        alpha, _, cap_hits = derived.brute_force_many(
+        alpha, _, flags = derived.brute_force_many(
             2.0 ** np.arange(-outer_V, outer_V + 1), f,
             resolution=resolution, n_random_starts=1)
         return (lambda_norm(alpha, eta, q.p_at_zero, q.p_at_infinity),
-                bool(cap_hits.any()))
+                bool(flags.any()))
 
     # the outer norm first: it raises ConfigError for a couple without
     # k_weights before the base norm is spent on it
-    outer, cap_hit = outer_norm_on(inner_grid)
+    outer, flagged = outer_norm_on(inner_grid)
     base = k_norm_continuous(couple, f, KMethodParams(theta, q, base_grid))
     ratio = outer / base if base > 0 else 1.0
     constant = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
@@ -554,13 +635,13 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *,
     refined_constant = None
     drift = None
     if refine:
-        outer2, cap_hit_fine = outer_norm_on(inner_grid.refined())
-        cap_hit |= cap_hit_fine
+        outer2, flagged_fine = outer_norm_on(inner_grid.refined())
+        flagged |= flagged_fine
         ratio2 = outer2 / base if base > 0 else 1.0
         refined_constant = max(ratio2, 1.0 / ratio2) if ratio2 > 0 else math.inf
         drift = abs(refined_constant - constant) / constant
     passed = (math.isfinite(constant) and (drift is None or drift <= 0.1)
-              and not cap_hit)
+              and not flagged)
     return ReiterationReport(theta, base, outer, constant,
                              refined_constant, drift, passed)
 

@@ -490,16 +490,18 @@ def test_decompose_many_rows_equal_single_t_decompositions():
                 a0, a1 = a0.values, a1.values
             assert np.array_equal(row0, a0) and np.array_equal(row1, a1)
             assert np.array_equal(row0, closed(t))
-    # brute force: warm starts make rows differ from cold single-t splits,
-    # so each row is held to K instead
+    # brute force: each t is its own search, so each row is the single-t
+    # split, bit for bit, and costs K
     c = Couple.finite_generic(NormSpec(2.0, [1.0, 3.0, 0.5]),
                               NormSpec(1.0, [2.0, 1.0, 1.0]))
     f = np.array([1.0, -2.0, 0.5])
     ts = np.array([4.0, 0.25, 1.0, 0.05])
     f0, f1 = c.decompose_many(ts, f)
     costs = c.norm0_many(f0, f) + ts * c.norm1_many(f1, f)
-    for t, cost in zip(ts, costs):
-        assert cost == pytest.approx(k_functional(c, float(t), f), rel=1e-9)
+    for t, row0, row1, cost in zip(ts, f0, f1, costs):
+        a0, a1 = decompose(c, float(t), f)
+        assert np.array_equal(row0, a0) and np.array_equal(row1, a1)
+        assert cost == k_functional(c, float(t), f)
 
 
 def test_generic_l1_couple_matches_weighted_closed_form():

@@ -45,6 +45,10 @@ LL = Couple.l1_linf()
 CHI = AtomFunction([1.0], [1.0])
 WS = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
 F2 = np.array([1.0, -1.0])
+# a reiteration draw whose outer K has an inner minimizer at t = 1, so that
+# the search runs there
+WS3 = Couple.weighted_seq([1.0, 2.0, 1.0], [3.0, 0.5, 1.0])
+F3 = np.array([1.0, -1.0, 0.5])
 
 
 def params(theta=0.5, q=Q2, grid=GRID):
@@ -299,6 +303,7 @@ def test_reiteration_smoke(monkeypatch):
 def test_reiteration_fails_when_brute_force_hits_its_cap(monkeypatch):
     real = couples.k_brute_force
     c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
+    searches = []
 
     def run():
         return reiteration_check(c, F2, 0.25, 0.75, 0.5, Q2,
@@ -307,47 +312,77 @@ def test_reiteration_fails_when_brute_force_hits_its_cap(monkeypatch):
                                  resolution=1e-4)
 
     def capped(*args, **kwargs):
+        searches.append(args[1])
         return dataclasses.replace(real(*args, **kwargs), cap_hit=True)
 
     assert run().passed
     monkeypatch.setattr(couples, "k_brute_force", capped)
+    assert not run().passed
+    # the duality bound leaves t = 1 open, so the search runs there
+    assert searches == [1.0]
+
+
+def test_reiteration_fails_when_brute_force_ends_below_the_duality_bound(
+        monkeypatch):
+    real = couples.k_brute_force
+
+    def run():
+        return reiteration_check(WS3, F3, 0.25, 0.75, 0.5, Q2,
+                                 inner_grid=HaarGrid(4, 4), outer_V=4,
+                                 base_grid=HaarGrid(8, 8), refine=False,
+                                 resolution=1e-6)
+
+    def low(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, value=0.99 * result.value)
+
+    assert run().passed
+    monkeypatch.setattr(couples, "k_brute_force", low)
     assert not run().passed
 
 
 def reiteration_by_per_t_loop(calls, couple, f, theta0, theta1, eta, q, *,
                               inner_grid, outer_V, base_grid, resolution):
     """(outer_norm, constant, refined_constant) of reiteration_check, with
-    its outer K computed by one k_brute_force call per t, each t after the
-    first warm-started at the last minimizer; calls records each call's t
-    and result."""
+    its outer K computed at each t as the best corner g = S f where the
+    derived couple's duality bound closes within resolution, and by one
+    k_brute_force call elsewhere; calls records each call's t and result."""
     theta = (1.0 - eta) * theta0 + eta * theta1
 
     def outer_norm_on(grid_in):
         ts = grid_in.nodes
         cost = couple.k_weights(ts)
+        q_values = q.p_at_zero if q.is_constant else q.on_grid(grid_in)
 
-        def make_norm(theta_i, q_i):
+        def make_norm(theta_i):
             # t_j^{-theta} K(t_j, g) for every row g of G is |G| @ kernel
             kernel = (cost * ts[:, None] ** -theta_i).T
-            q_values = q_i.p_at_zero if q_i.is_constant else q_i.on_grid(grid_in)
 
             def nrm(G):
                 return interp.weighted_power_norm(np.abs(G) @ kernel, q_values,
                                                   grid_in.du)
             return nrm
 
-        derived = Couple.finite_generic(make_norm(theta0, q), make_norm(theta1, q))
-        js = np.arange(-outer_V, outer_V + 1)
-        alpha = np.empty(len(js))
-        warm = None
-        for idx, j in enumerate(js):
-            res = k_brute_force(derived, float(2.0 ** j), f,
-                                resolution=resolution, n_random_starts=1,
-                                extra_starts=() if warm is None else (warm,),
-                                return_details=True)
-            calls.append((float(2.0 ** j), res))
+        derived = Couple.finite_generic(make_norm(theta0), make_norm(theta1))
+        outer_ts = 2.0 ** np.arange(-outer_V, outer_V + 1)
+        lower = interp._KMethodCouple(couple, grid_in, q_values,
+                                      (theta0, theta1)).corner_bounds(
+                                          outer_ts, f)[2]
+        # every corner g = S f, one batch of rows
+        corners = np.array([[f[k] if s >> k & 1 else 0.0 for k in range(len(f))]
+                            for s in range(2 ** len(f))])
+        norms0 = derived.norm0_many(corners, f)
+        norms1 = derived.norm1_many(f - corners, f)
+        alpha = np.empty(len(outer_ts))
+        for idx, t in enumerate(outer_ts):
+            upper = np.min(norms0 + t * norms1)
+            if upper - lower[idx] <= resolution * upper:
+                alpha[idx] = upper
+                continue
+            res = k_brute_force(derived, float(t), f, resolution=resolution,
+                                n_random_starts=1, return_details=True)
+            calls.append((float(t), res))
             alpha[idx] = res.value
-            warm = res.minimizer
         return lambda_norm(alpha, eta, q.p_at_zero, q.p_at_infinity)
 
     outer = outer_norm_on(inner_grid)
@@ -370,16 +405,17 @@ def test_reiteration_matches_a_per_t_brute_force_loop_bit_for_bit(q, monkeypatch
         return result
 
     monkeypatch.setattr(couples, "k_brute_force", recorded)
-    c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
     kwargs = dict(inner_grid=HaarGrid(4, 4), outer_V=4,
                   base_grid=HaarGrid(8, 8), resolution=1e-6)
-    rep = reiteration_check(c, F2, 0.25, 0.75, 0.5, q, **kwargs)
+    rep = reiteration_check(WS3, F3, 0.25, 0.75, 0.5, q, **kwargs)
     assert rep.passed
     assert (rep.outer_norm, rep.constant, rep.refined_constant) == \
-        reiteration_by_per_t_loop(reference, c, F2, 0.25, 0.75, 0.5, q, **kwargs)
-    # the same searches in the same order: each t's value, minimizer and
-    # evaluation count, which the starts and the warm start decide
-    assert len(merged) == len(reference) == 2 * 9
+        reiteration_by_per_t_loop(reference, WS3, F3, 0.25, 0.75, 0.5, q,
+                                  **kwargs)
+    # the same searches in the same order, at the t the duality bound
+    # leaves open, t = 1 on each inner grid of 2 * 9 t: each t's value,
+    # minimizer and evaluation count
+    assert [t for t, _ in merged] == [t for t, _ in reference] == [1.0, 1.0]
     for (t, res), (t_ref, res_ref) in zip(merged, reference):
         assert t == t_ref
         assert (res.value, res.evaluations, res.cap_hit) == \
@@ -387,11 +423,10 @@ def test_reiteration_matches_a_per_t_brute_force_loop_bit_for_bit(q, monkeypatch
         assert res.minimizer.tolist() == res_ref.minimizer.tolist()
 
 
-
 # brute_force_many's values at t = 2^-3..2^3 in two reiteration draws (a
 # constant and a variable exponent), recorded before the derived couple
-# solved both its norms in one call and before a sweep that moves nothing
-# stopped its start
+# solved both its norms in one call, before a sweep that moves nothing
+# stopped its start and before certified corners skipped the search
 REITERATION_ALPHAS = [
     ["0x1.d5831cdfd6aa4p-4", "0x1.d5831cdfd6aa4p-3", "0x1.d5831cdfd6aa4p-2",
      "0x1.d3bfa1101cb02p-1", "0x1.8935b1a9f7876p+0", "0x1.8935b1a9f7876p+0",
@@ -404,14 +439,14 @@ REITERATION_ALPHAS = [
 
 def test_reiteration_outer_k_keeps_its_pinned_bits(monkeypatch):
     seen = []
-    real = couples.GenericCouple.brute_force_many
+    real = interp._KMethodCouple.brute_force_many
 
     def recorded(self, ts, f, **kwargs):
         result = real(self, ts, f, **kwargs)
         seen.append([v.hex() for v in result[0]])
         return result
 
-    monkeypatch.setattr(couples.GenericCouple, "brute_force_many", recorded)
+    monkeypatch.setattr(interp._KMethodCouple, "brute_force_many", recorded)
     for draw, alphas in enumerate(REITERATION_ALPHAS):
         rng = np.random.default_rng([29, draw])
         w0, w1 = 10.0 ** rng.uniform(-1, 1, (2, 3))
@@ -461,6 +496,105 @@ def test_derived_cost_many_equals_its_two_norms_bit_for_bit(q, monkeypatch):
                 want = (derived.norm0_many(layout, f)
                         + t * derived.norm1_many(f - layout, f))
                 assert cost.tobytes() == want.tobytes()
+
+
+QV = ExponentFunction.from_expression("2 + 1/log(e + 1/t)",
+                                     p_at_zero=2.0, p_at_infinity=3.0)
+
+
+def random_derived(rng, n, variable, grid=HaarGrid(4, 4)):
+    """A reiteration draw's derived couple and an f with a zero entry
+    whenever n > 1."""
+    couple = Couple.weighted_seq(*(10.0 ** rng.uniform(-1, 1, (2, n))))
+    q_values = QV.on_grid(grid) if variable else float(rng.uniform(1.5, 3.0))
+    thetas = (float(rng.uniform(0.2, 0.35)), float(rng.uniform(0.65, 0.8)))
+    f = rng.uniform(-2, 2, n)
+    if n > 1:
+        f[rng.integers(n)] = 0.0
+    return interp._KMethodCouple(couple, grid, q_values, thetas), f
+
+
+@pytest.mark.parametrize("f", [
+    np.array([0.7]), np.array([1.0, 0.0, -0.5]),
+    np.array([0.3, -1.2, 0.0, 2.0]), np.zeros(2)])
+def test_duality_bound_is_the_weighted_closed_form_at_q_one(f):
+    # at q = 1 the derived norms are weighted l1 norms, with the weights
+    # du kernel_i.sum(1), and the bound is their closed-form K
+    rng = np.random.default_rng(31)
+    grid = HaarGrid(4, 4)
+    c = Couple.weighted_seq(*(10.0 ** rng.uniform(-1, 1, (2, len(f)))))
+    derived = interp._KMethodCouple(c, grid, 1.0, (0.3, 0.7))
+    ts = 2.0 ** np.arange(-8, 9)
+    lower = derived.corner_bounds(ts, f)[2]
+    k0, k1 = derived.kernels
+    closed = Couple.weighted_seq(grid.du * k0.sum(axis=1),
+                                 grid.du * k1.sum(axis=1)).k_many(ts, f)
+    np.testing.assert_allclose(lower, closed, rtol=1e-13, atol=0.0)
+
+
+def test_duality_bound_never_exceeds_a_dense_search():
+    rng = np.random.default_rng(32)
+    for trial in range(50):
+        derived, f = random_derived(rng, 1 + trial % 4, trial % 2 == 1)
+        t = float(2.0 ** rng.uniform(-4, 4))
+        lower = derived.corner_bounds(np.array([t]), f)[2]
+        dense = k_brute_force(derived, t, f, resolution=1e-10,
+                              n_random_starts=16)
+        assert lower[0] <= dense * (1.0 + 1e-12)
+
+
+def test_certified_corners_return_the_search_values():
+    # a t certified at g = 0 or g = f has the bits of the search, which
+    # starts there; one certified at a mixed corner lies within resolution
+    rng = np.random.default_rng(40)
+    ts = 2.0 ** np.arange(-6, 7)
+    resolution = 1e-6
+    kinds = set()
+    for trial in range(6):
+        derived, f = random_derived(rng, 3, trial % 2 == 1)
+        upper, corners, lower = derived.corner_bounds(ts, f)
+        values, minimizers, flags = derived.brute_force_many(
+            ts, f, resolution=resolution, n_random_starts=1)
+        assert not flags.any()
+        for j in np.flatnonzero(upper - lower <= resolution * upper):
+            assert values[j] == upper[j]
+            assert minimizers[j].tolist() == corners[j].tolist()
+            v = k_brute_force(derived, float(ts[j]), f,
+                              resolution=resolution, n_random_starts=1)
+            if np.all(corners[j] == 0.0) or np.all(corners[j] == f):
+                kinds.add("full")
+                assert values[j] == v
+            else:
+                kinds.add("mixed")
+                assert v * (1.0 - resolution) <= values[j] <= v
+    assert kinds == {"full", "mixed"}
+
+
+def test_inner_minimizers_are_searched(monkeypatch):
+    real = couples.k_brute_force
+    searched = []
+
+    def recorded(couple, t, *args, **kwargs):
+        searched.append(t)
+        return real(couple, t, *args, **kwargs)
+
+    derived = interp._KMethodCouple(WS3, HaarGrid(4, 4), 2.0, (0.25, 0.75))
+    ts = 2.0 ** np.arange(-4, 5)
+    resolution = 1e-6
+    upper, _, lower = derived.corner_bounds(ts, F3)
+    inner = []
+    for t, corner in zip(ts, upper):
+        dense = real(derived, float(t), F3, resolution=1e-10,
+                     n_random_starts=16, return_details=True)
+        # a minimizer off every corner, whose value the corners miss
+        off = np.minimum(np.abs(dense.minimizer), np.abs(F3 - dense.minimizer))
+        if dense.value < corner * (1.0 - resolution) and off.max() > 1e-3:
+            inner.append(float(t))
+    monkeypatch.setattr(couples, "k_brute_force", recorded)
+    derived.brute_force_many(ts, F3, resolution=resolution, n_random_starts=1)
+    assert inner and set(inner) <= set(searched)
+    open_ts = ts[upper - lower > resolution * upper]
+    assert searched == open_ts.tolist()
 
 
 def test_reiteration_validation():
