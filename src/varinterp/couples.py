@@ -16,8 +16,8 @@
   small), given as `NormSpec`s or callables that map a (B, n) array to the
   B norms of its rows. No closed form; K is computed by the brute-force
   minimizer below, which is also the independent oracle for the closed
-  forms of the other two classes. Its loop over t, one independent search
-  per t, is `GenericCouple.brute_force_many`.
+  forms of the other two classes: k_many and decompose_many run one
+  independent search per t, at the minimizer's defaults.
 
 Decompositions and batch norms work on value arrays: a row is a vector of
 R^n, or the atom values of a function on the atoms of f. Every norm here
@@ -244,9 +244,9 @@ class GenericCouple(Couple):
     """Two norms on R^n, each a NormSpec or a callable; K by brute force.
 
     Each norm maps a (B, n) array to the (B,) array of the norms of its
-    rows; norm0(f) and norm1(f) are the case B = 1. brute_force_many
-    flags a t whose brute-force K hit its evaluation cap; k_many and
-    decompose_many raise CapacityError for it.
+    rows; norm0(f) and norm1(f) are the case B = 1. k_many and
+    decompose_many run one k_brute_force per t and raise CapacityError,
+    naming the smallest such t, if any search hit its evaluation cap.
     """
 
     def __init__(self, norm0, norm1):
@@ -263,35 +263,24 @@ class GenericCouple(Couple):
     def norm1_many(self, G, f):
         return self.norms[1](G)
 
-    def brute_force_many(self, ts, f, *, resolution=1e-8, n_random_starts=8):
-        """Brute-force K (see k_brute_force) at every t, one search each;
-        (values, minimizers, cap_hits) in the order of ts, where cap_hits
-        flags the t whose search hit its evaluation cap."""
+    def _searched(self, ts, f):
+        """(values, minimizers) of brute-force K at every t, in order."""
         f = np.asarray(f, dtype=float)
-        values = np.empty(len(ts))
-        minimizers = np.empty((len(ts), len(f)))
-        cap_hits = np.zeros(len(ts), dtype=bool)
-        for pos, t in enumerate(ts):
-            result = k_brute_force(self, float(t), f, resolution=resolution,
-                                   n_random_starts=n_random_starts,
-                                   return_details=True)
-            values[pos] = result.value
-            minimizers[pos] = result.minimizer
-            cap_hits[pos] = result.cap_hit
-        return values, minimizers, cap_hits
-
-    def _brute_force_checked(self, ts, f):
-        values, minimizers, cap_hits = self.brute_force_many(ts, f)
-        if cap_hits.any():
-            t = float(np.min(ts[cap_hits]))
-            raise CapacityError(f"brute-force K hit its evaluation cap at t={t:g}")
-        return values, minimizers
+        results = [k_brute_force(self, float(t), f, return_details=True)
+                   for t in ts]
+        capped = [t for t, res in zip(ts, results) if res.cap_hit]
+        if capped:
+            raise CapacityError("brute-force K hit its evaluation cap "
+                                f"at t={float(min(capped)):g}")
+        minimizers = np.array([res.minimizer for res in results])
+        return (np.array([res.value for res in results]),
+                minimizers.reshape(len(ts), len(f)))
 
     def k_many(self, ts, f):
-        return self._brute_force_checked(ts, f)[0]
+        return self._searched(ts, f)[0]
 
     def decompose_many(self, ts, f):
-        f0 = self._brute_force_checked(ts, f)[1]
+        f0 = self._searched(ts, f)[1]
         return f0, np.asarray(f, dtype=float) - f0
 
     def reversed(self):
@@ -404,7 +393,7 @@ def _bracket_scan(line, starts, width, lo, hi, xatol):
 
 
 def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
-                  extra_starts=(), rng=None, return_details=False):
+                  rng=None, return_details=False):
     """Direct minimization of g -> norm0(g) + t norm1(f - g) over R^n.
 
     Multistart coordinate descent over the box [0 ^ f] (optimal for
@@ -429,19 +418,14 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     the rows actually evaluated: every start once, then the trial points
     of each distinct search. The budget of 100,000 evaluations applies to
     that count, is shared by the starts, and a breach is reported as
-    cap_hit, not hidden. f and every extra start must be finite vectors of
-    the same length.
+    cap_hit, not hidden. f must be a finite vector.
     """
     _require_positive(t)
     if not couple.is_vector_couple:
         raise ConfigError("brute-force K needs a finite-dimensional couple")
     f = np.asarray(f, dtype=float)
-    extra = [np.asarray(s, dtype=float) for s in extra_starts]
     if not np.isfinite(f).all():
         raise ConfigError("brute-force K needs a finite vector f")
-    if any(s.shape != f.shape or not np.isfinite(s).all() for s in extra):
-        raise ConfigError("each extra start must be a finite vector "
-                          "of the length of f")
     n = len(f)
     if n > 6:
         raise CapacityError(f"brute-force K supports dimension <= 6, got {n}")
@@ -460,7 +444,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     warm = _WARM * xatol
 
     randoms = rng.uniform(lo, hi, (n_random_starts, n))
-    g = np.clip(np.vstack([f, np.zeros(n), 0.5 * f, *extra, randoms]), lo, hi)
+    g = np.clip(np.vstack([f, np.zeros(n), 0.5 * f, randoms]), lo, hi)
 
     evals = 0
 

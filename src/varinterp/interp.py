@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couples import (Couple, GenericCouple, apply_operator, j_functional,
-                      k_functional, k_functional_many)
+from . import couples
+from .couples import (Couple, apply_operator, j_functional, k_functional,
+                      k_functional_many)
 from .errors import CapacityError, ConfigError, ConstructionError
 from .exponents import ExponentFunction
 from .rearrange import lorentz_norm
@@ -241,7 +242,7 @@ class KJEquivalenceReport:
     passed: bool
 
 
-def kj_equivalence_check(couple, f, params, *, V=None):
+def kj_equivalence_check(couple, f, params, *, V):
     """Compare the discrete J- and K-method norms on the same element.
 
     The J-norm of the telescoped representation dominates the K-norm up to
@@ -250,8 +251,6 @@ def kj_equivalence_check(couple, f, params, *, V=None):
     as forward_constant. The discrete K-norm reads the K values the
     representation was built from.
     """
-    if V is None:
-        V = params.grid.V
     theta = params.theta
     q0 = params.q.p_at_zero
     qi = params.q.p_at_infinity
@@ -437,10 +436,8 @@ def prop_identical_couple(weights, f, theta, q, grid):
     return PropositionReport("identical_couple", values, passed)
 
 
-def proposition_checks(couple, f, params=None):
+def proposition_checks(couple, f, params):
     """Run every structural proposition applicable to the couple."""
-    if params is None:
-        params = KMethodParams(0.5, ExponentFunction.constant(2.0), HaarGrid(8, 16))
     theta, q, grid = params.theta, params.q, params.grid
     reports = {}
     reports["exponent_monotone"] = prop_exponent_monotone(
@@ -480,7 +477,7 @@ class ReiterationReport:
     passed: bool
 
 
-class _KMethodCouple(GenericCouple):
+class _KMethodCouple(Couple):
     """(X_0, X_1), X_i = (A0, A1)_{theta_i, q} normed on a grid, for a
     weighted sequence couple: t_j^{-theta_i} K(t_j, g) for each row g of G
     is |G| @ kernel_i. Both norms share q and du, so cost_many solves the
@@ -490,9 +487,10 @@ class _KMethodCouple(GenericCouple):
     kernel, so K(t, f) has two bounds in closed form (corner_bounds): the
     best corner g = S f, S a subset of the coordinates, bounds it from
     above, and K-J duality (Bergh-Lofstrom, section 3.7) from below.
-    brute_force_many searches only the t whose bounds are further apart
-    than the search's own resolution, relatively; every other t takes the
-    best corner's value and the corner as its minimizer.
+    outer_k searches only the t whose bounds are further apart than the
+    search's own resolution, relatively; every other t takes the best
+    corner's value and the corner as its minimizer. outer_k is this
+    couple's only K: it has no k_many, decompose_many or reversed.
     """
 
     def __init__(self, couple, grid, q_values, thetas):
@@ -501,10 +499,13 @@ class _KMethodCouple(GenericCouple):
         self.kernels = [(cost * ts[:, None] ** -theta).T for theta in thetas]
         self.q_values, self.du = q_values, grid.du
 
-        def norm(kernel):
-            return lambda G: weighted_power_norm(np.abs(G) @ kernel,
-                                                 q_values, grid.du)
-        super().__init__(*map(norm, self.kernels))
+    def norm0_many(self, G, f):
+        return weighted_power_norm(np.abs(G) @ self.kernels[0],
+                                   self.q_values, self.du)
+
+    def norm1_many(self, G, f):
+        return weighted_power_norm(np.abs(G) @ self.kernels[1],
+                                   self.q_values, self.du)
 
     def cost_many(self, G, f, t):
         kernel0, kernel1 = self.kernels
@@ -562,42 +563,42 @@ class _KMethodCouple(GenericCouple):
         lower = sums.max(axis=(1, 2))
         return upper, corners, lower
 
-    def brute_force_many(self, ts, f, *, resolution=1e-8, n_random_starts=8):
-        """(values, minimizers, flags) as GenericCouple.brute_force_many, but
-        searched only at the t with upper(t) - lower(t) > resolution
-        upper(t) (see corner_bounds); every other t takes upper(t) and its
-        corner. flags marks a search that hit its evaluation cap or ended
-        below lower(t) (1 - 1e-9): the search or the bound is then wrong."""
-        ts = np.asarray(ts, dtype=float)
-        f = np.asarray(f, dtype=float)
+    def outer_k(self, ts, f, resolution):
+        """(values, minimizers, flags): K(t, f) at every t of ts, searched
+        by k_brute_force (one random start) only at the t with
+        upper(t) - lower(t) > resolution upper(t) (see corner_bounds);
+        every other t takes upper(t) and its corner. flags marks a search
+        that hit its evaluation cap or ended below lower(t) (1 - 1e-9): the
+        search or the bound is then wrong."""
         values, minimizers, lower = self.corner_bounds(ts, f)
         flags = np.zeros(len(ts), dtype=bool)
-        searched = values - lower > resolution * values
-        if searched.any():
-            found, at, cap_hits = super().brute_force_many(
-                ts[searched], f, resolution=resolution,
-                n_random_starts=n_random_starts)
-            values[searched], minimizers[searched] = found, at
-            flags[searched] = cap_hits | (found < lower[searched] * (1.0 - 1e-9))
+        for j in np.flatnonzero(values - lower > resolution * values):
+            # looked up on couples at call time, as GenericCouple does, so
+            # that a wrapper bound there sees every search
+            res = couples.k_brute_force(self, float(ts[j]), f,
+                                        resolution=resolution,
+                                        n_random_starts=1, return_details=True)
+            values[j], minimizers[j] = res.value, res.minimizer
+            flags[j] = res.cap_hit or res.value < lower[j] * (1.0 - 1e-9)
         return values, minimizers, flags
 
 
-def reiteration_check(couple, f, theta0, theta1, eta, q, *,
-                      inner_grid=None, outer_V=10, base_grid=None,
-                      refine=True, resolution=1e-7):
+def reiteration_check(couple, f, theta0, theta1, eta, q, *, inner_grid,
+                      outer_V, base_grid=None, refine=True, resolution=1e-7):
     """Interpolate between two interpolation spaces of the same couple.
 
-    Builds X_i = (A0, A1)_{theta_i, q} as a derived generic couple whose
-    norms are the continuous K-method norms on an inner grid, evaluates the
-    outer discrete norm of f in (X_0, X_1)_{eta, q} by the couple's K at
+    Builds X_i = (A0, A1)_{theta_i, q} as a derived couple whose norms are
+    the continuous K-method norms on an inner grid, evaluates the outer
+    discrete norm of f in (X_0, X_1)_{eta, q} by the couple's K at
     t = 2^-outer_V, ..., 2^outer_V, and compares with the direct norm at
     theta = (1-eta) theta0 + eta theta1. The couple must be a weighted
-    sequence couple: K is linear in |g| there, so the brute-force objective
-    of a batch of g, both derived norms, is two matrix products and one
-    batched Luxemburg solve, and K has a lower bound by duality. Where that
-    bound lies within resolution (relatively) of the best corner g = S f,
-    K is that corner's value; every other t is searched by brute force, one
-    random start each (see _KMethodCouple).
+    sequence couple and f a finite vector (ConfigError otherwise): K is
+    linear in |g| there, so the brute-force objective of a batch of g, both
+    derived norms, is two matrix products and one batched Luxemburg solve,
+    and K has a lower bound by duality. Where that bound lies within
+    resolution (relatively) of the best corner g = S f, K is that corner's
+    value; every other t is searched by brute force, one random start each
+    (see _KMethodCouple.outer_k).
     Refining the inner grid may move the equivalence constant by at most
     0.1, relatively. A brute-force K that hits its evaluation cap, or that
     ends below the duality bound by more than 1e-9 relatively, fails.
@@ -605,13 +606,13 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *,
     if not couple.is_vector_couple:
         raise ConfigError("reiteration_check needs a finite-dimensional couple")
     f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
+        raise ConfigError("a vector of a vector couple must be finite")
     if len(f) > 4:
         raise CapacityError("reiteration supports dimension <= 4")
     if not 0.0 < eta < 1.0 or not 0.0 < theta0 < theta1 < 1.0 or outer_V < 1:
         raise ConfigError("need 0 < theta0 < theta1 < 1, eta in (0, 1) "
                           "and outer_V >= 1")
-    if inner_grid is None:
-        inner_grid = HaarGrid(12, 8)
     if base_grid is None:
         base_grid = DEFAULT_GRID
     theta = (1.0 - eta) * theta0 + eta * theta1
@@ -619,9 +620,8 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *,
     def outer_norm_on(grid_in):
         q_values = q.p_at_zero if q.is_constant else q.on_grid(grid_in)
         derived = _KMethodCouple(couple, grid_in, q_values, (theta0, theta1))
-        alpha, _, flags = derived.brute_force_many(
-            2.0 ** np.arange(-outer_V, outer_V + 1), f,
-            resolution=resolution, n_random_starts=1)
+        alpha, _, flags = derived.outer_k(
+            2.0 ** np.arange(-outer_V, outer_V + 1), f, resolution)
         return (lambda_norm(alpha, eta, q.p_at_zero, q.p_at_infinity),
                 bool(flags.any()))
 

@@ -304,7 +304,7 @@ def _fraction(pairs):
     return 1.0 - len(bad) / len(pairs), (bad[-1] if bad else 0), None, True
 
 
-def _bracket(drift_limit=math.inf):
+def _bracket(drift_limit):
     """Corpus constant C with every metric in [1/C, C], which must be
     finite. With refined metrics the drift is the relative change of C
     when the refined metrics are bracketed instead."""
@@ -684,7 +684,7 @@ _CHECKS = (
     # doubled sampling density
     _Check("lorentz-identification", _lorentz_identification, _bracket(0.1)),
     # corpus constant of dyadic / continuous Lorentz norm ratios
-    _Check("lorentz-discrete", _lorentz_discrete, _bracket()),
+    _Check("lorentz-discrete", _lorentz_discrete, _bracket(math.inf)),
     # worst discrepancy in rearrangement identities (equimeasurability,
     # mass and integral preservation, right-continuity)
     _Check("rearrangement", _rearrangement, _worst_max(limit=1e-9)),

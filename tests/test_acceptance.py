@@ -137,7 +137,9 @@ def test_c11_reiteration():
                                      10.0 ** rng.uniform(-1.0, 1.0, 3))
         f = rng.normal(0.0, 1.0, 3)
         reports.append(reiteration_check(couple, f, 0.25, 0.75, 0.5,
-                                         ExponentFunction.constant(qv)))
+                                         ExponentFunction.constant(qv),
+                                         inner_grid=HaarGrid(12, 8),
+                                         outer_V=10))
     elapsed = time.perf_counter() - start
     detail = ", ".join(f"C={rep.constant:.4f} drift={rep.drift:.2g}"
                        for rep in reports)

@@ -218,10 +218,21 @@ def test_generic_couple_raises_when_brute_force_hits_its_cap(monkeypatch):
         k_functional_many(c, [8.0, 0.5, 2.0], f)
     with pytest.raises(CapacityError, match=r"at t=2$"):
         decompose(c, 2.0, f)
-    # brute_force_many itself reports the hits and raises nothing
-    values, minimizers, cap_hits = c.brute_force_many(np.array([8.0, 0.5, 2.0]), f)
-    assert cap_hits.tolist() == [True, False, True]
-    assert values.shape == (3,) and minimizers.shape == (3, 2)
+
+
+def test_generic_couple_runs_one_independent_search_per_t():
+    c = Couple.finite_generic(NormSpec(2.0, [1.0, 3.0, 0.5]),
+                              NormSpec(math.inf, [2.0, 1.0, 1.0]))
+    f = np.array([1.0, -2.0, 0.5])
+    # unsorted, with a repeated t
+    ts = np.array([2.0, 0.3, 2.0, 7.5, 0.3, 1.0])
+    searches = [k_brute_force(c, float(t), f, return_details=True) for t in ts]
+    values = k_functional_many(c, ts, f)
+    f0, f1 = c.decompose_many(ts, f)
+    assert values.tobytes() == np.array([r.value for r in searches]).tobytes()
+    assert f0.tobytes() == np.array([r.minimizer for r in searches]).tobytes()
+    assert f1.tobytes() == (f - f0).tobytes()
+    assert values[0] == values[2] and values[1] == values[4]
 
 
 def test_vector_couples_reject_non_finite_vectors():
@@ -356,13 +367,25 @@ def test_brute_force_counts_every_row_evaluated():
     assert res.value == 2.4023236891233175
 
 
+class RepeatedRows:
+    """A stand-in for a numpy Generator whose random starts are all one
+    row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def uniform(self, lo, hi, size):
+        return np.tile(self.row, (size[0], 1))
+
+
 def test_duplicate_starts_share_their_line_searches():
     c = Couple.finite_generic(NormSpec(2.0, [1.0, 3.0, 0.5]),
                               NormSpec(1.0, [2.0, 1.0, 1.0]))
     f = np.array([1.0, -2.0, 0.5])
-    s = np.array([0.3, -1.1, 0.2])
-    once = k_brute_force(c, 0.7, f, extra_starts=(s,), return_details=True)
-    thrice = k_brute_force(c, 0.7, f, extra_starts=(s, s, s),
+    rng = RepeatedRows(np.array([0.3, -1.1, 0.2]))
+    once = k_brute_force(c, 0.7, f, n_random_starts=1, rng=rng,
+                         return_details=True)
+    thrice = k_brute_force(c, 0.7, f, n_random_starts=3, rng=rng,
                            return_details=True)
     assert thrice.value == once.value
     assert thrice.minimizer.tobytes() == once.minimizer.tobytes()
@@ -429,14 +452,11 @@ def test_brute_force_keeps_its_pinned_bits():
         assert not res.cap_hit
 
 
-def test_brute_force_rejects_non_finite_vectors_and_misshapen_starts():
+def test_brute_force_rejects_non_finite_vectors():
     c = Couple.weighted_seq([1.0, 2.0], [1.0, 0.5])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError):
             k_brute_force(c, 1.0, [bad, 1.0])
-    for start in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]], [math.nan, 0.5]):
-        with pytest.raises(ConfigError):
-            k_brute_force(c, 1.0, [1.0, 1.0], extra_starts=(start,))
 
 
 def test_batch_norms_equal_scalar_norms_bit_for_bit():

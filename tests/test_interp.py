@@ -182,22 +182,22 @@ def test_j_norm_discrete_single_term():
 
 
 def test_kj_equivalence_check():
-    rep = kj_equivalence_check(WS, F2, params())
+    rep = kj_equivalence_check(WS, F2, params(), V=GRID.V)
     assert rep.passed
     assert rep.worst_term_ratio <= 3.03
     assert rep.ratio_j_over_k > 0.0 and math.isfinite(rep.forward_constant)
     # ratio is scale invariant
-    rep4 = kj_equivalence_check(WS, 4.0 * F2, params())
+    rep4 = kj_equivalence_check(WS, 4.0 * F2, params(), V=GRID.V)
     assert rep4.ratio_j_over_k == pytest.approx(rep.ratio_j_over_k, rel=1e-9)
     # the discrete K-norm comes from the representation's K values, which
     # are the K values k_norm_discrete computes, bit for bit
     qv = ExponentFunction.from_expression("1.5 + 1/log(e + 1/t)",
                                           p_at_zero=1.5, p_at_infinity=2.5)
-    for couple, f, q, V in ((WS, F2, Q2, None), (WS, 4.0 * F2, qv, 9),
+    for couple, f, q, V in ((WS, F2, Q2, GRID.V), (WS, 4.0 * F2, qv, 9),
                             (LL, AtomFunction([3.0, 1.0], [0.5, 1.0]), qv, 12)):
         got = kj_equivalence_check(couple, f, params(0.3, q), V=V)
         assert got.k_discrete == k_norm_discrete(
-            couple, f, 0.3, q.p_at_zero, q.p_at_infinity, V or GRID.V)
+            couple, f, 0.3, q.p_at_zero, q.p_at_infinity, V)
 
 
 def test_density_residuals_shrink():
@@ -270,11 +270,12 @@ def test_prop_identical_couple_closed_form():
 
 
 def test_proposition_checks_umbrella():
-    reports = proposition_checks(WS, F2)
+    grid = HaarGrid(8, 16)
+    reports = proposition_checks(WS, F2, params(grid=grid))
     assert "exponent_monotone" in reports and "reversal_symmetry" in reports
     assert all(rep.passed for rep in reports.values())
     ident = Couple.weighted_seq([1.0, 3.0], [1.0, 3.0])
-    reports = proposition_checks(ident, F2)
+    reports = proposition_checks(ident, F2, params(grid=grid))
     assert "identical_couple" in reports and "theta_monotone" in reports
     assert all(rep.passed for rep in reports.values())
 
@@ -423,7 +424,7 @@ def test_reiteration_matches_a_per_t_brute_force_loop_bit_for_bit(q, monkeypatch
         assert res.minimizer.tolist() == res_ref.minimizer.tolist()
 
 
-# brute_force_many's values at t = 2^-3..2^3 in two reiteration draws (a
+# the outer K's values at t = 2^-3..2^3 in two reiteration draws (a
 # constant and a variable exponent), recorded before the derived couple
 # solved both its norms in one call, before a sweep that moves nothing
 # stopped its start and before certified corners skipped the search
@@ -439,14 +440,14 @@ REITERATION_ALPHAS = [
 
 def test_reiteration_outer_k_keeps_its_pinned_bits(monkeypatch):
     seen = []
-    real = interp._KMethodCouple.brute_force_many
+    real = interp._KMethodCouple.outer_k
 
-    def recorded(self, ts, f, **kwargs):
-        result = real(self, ts, f, **kwargs)
+    def recorded(self, ts, f, resolution):
+        result = real(self, ts, f, resolution)
         seen.append([v.hex() for v in result[0]])
         return result
 
-    monkeypatch.setattr(interp._KMethodCouple, "brute_force_many", recorded)
+    monkeypatch.setattr(interp._KMethodCouple, "outer_k", recorded)
     for draw, alphas in enumerate(REITERATION_ALPHAS):
         rng = np.random.default_rng([29, draw])
         w0, w1 = 10.0 ** rng.uniform(-1, 1, (2, 3))
@@ -553,8 +554,7 @@ def test_certified_corners_return_the_search_values():
     for trial in range(6):
         derived, f = random_derived(rng, 3, trial % 2 == 1)
         upper, corners, lower = derived.corner_bounds(ts, f)
-        values, minimizers, flags = derived.brute_force_many(
-            ts, f, resolution=resolution, n_random_starts=1)
+        values, minimizers, flags = derived.outer_k(ts, f, resolution)
         assert not flags.any()
         for j in np.flatnonzero(upper - lower <= resolution * upper):
             assert values[j] == upper[j]
@@ -591,33 +591,57 @@ def test_inner_minimizers_are_searched(monkeypatch):
         if dense.value < corner * (1.0 - resolution) and off.max() > 1e-3:
             inner.append(float(t))
     monkeypatch.setattr(couples, "k_brute_force", recorded)
-    derived.brute_force_many(ts, F3, resolution=resolution, n_random_starts=1)
+    derived.outer_k(ts, F3, resolution)
     assert inner and set(inner) <= set(searched)
     open_ts = ts[upper - lower > resolution * upper]
     assert searched == open_ts.tolist()
 
 
 def test_reiteration_validation():
+    grids = dict(inner_grid=HaarGrid(4, 4), outer_V=4)
     with pytest.raises(ConfigError):
-        reiteration_check(WS, F2, 0.75, 0.25, 0.5, Q2)
+        reiteration_check(WS, F2, 0.75, 0.25, 0.5, Q2, **grids)
     with pytest.raises(ConfigError):
-        reiteration_check(WS, F2, 0.25, 0.75, 0.0, Q2)
+        reiteration_check(WS, F2, 0.25, 0.75, 0.0, Q2, **grids)
     # the derived norms need K linear in |g|, as on a weighted couple
     generic = Couple.finite_generic(NormSpec(1.0, [1.0, 2.0]),
                                     NormSpec(1.0, [3.0, 0.5]))
     with pytest.raises(ConfigError):
-        reiteration_check(generic, F2, 0.25, 0.75, 0.5, Q2)
+        reiteration_check(generic, F2, 0.25, 0.75, 0.5, Q2, **grids)
+
+
+def test_reiteration_rejects_non_finite_vectors_before_any_search(monkeypatch):
+    calls = []
+    monkeypatch.setattr(interp._KMethodCouple, "outer_k",
+                        lambda *args: calls.append(args))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError,
+                           match="^a vector of a vector couple must be finite$"):
+            reiteration_check(WS, [bad, 1.0], 0.25, 0.75, 0.5, Q2,
+                              inner_grid=HaarGrid(4, 4), outer_V=4)
+    assert calls == []
 
 
 def test_reiteration_rejects_outer_v_below_one_before_any_search(monkeypatch):
     calls = []
-    monkeypatch.setattr(couples.GenericCouple, "brute_force_many",
+    monkeypatch.setattr(interp._KMethodCouple, "outer_k",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(couples, "k_brute_force",
                         lambda *args, **kwargs: calls.append(args))
     c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
     with pytest.raises(ConfigError, match="outer_V"):
         reiteration_check(c, F2, 0.25, 0.75, 0.5, Q2,
                           inner_grid=HaarGrid(4, 4), outer_V=0)
     assert calls == []
+
+
+def test_derived_couple_has_one_search_path():
+    # K of the derived couple comes from outer_k alone: it is a plain
+    # Couple, with no k_many, decompose_many or reversed of its own
+    derived = interp._KMethodCouple(WS3, HaarGrid(4, 4), 2.0, (0.25, 0.75))
+    assert not isinstance(derived, couples.GenericCouple)
+    for name in ("k_many", "decompose_many", "reversed", "brute_force_many"):
+        assert not hasattr(derived, name)
 
 
 def test_lorentz_identification_indicator():
