@@ -18,14 +18,7 @@ from .errors import (
     InvalidExponentError,
     VarInterpError,
 )
-from .exponents import (
-    ExponentFunction,
-    LogHolderReport,
-    estimate_log_holder,
-    evaluate_expression,
-    log_holder_constants,
-    parse_expression,
-)
+from .exponents import ExponentFunction
 from .varleb import (
     HaarGrid,
     SampledFunction,
@@ -108,7 +101,6 @@ __all__ = [
     "JRepresentation",
     "KMethodParams",
     "LinearOperatorSpec",
-    "LogHolderReport",
     "NormSpec",
     "RearrangementProfile",
     "SampledFunction",
@@ -121,8 +113,6 @@ __all__ = [
     "density_check",
     "distribution_function",
     "embedding_checks",
-    "estimate_log_holder",
-    "evaluate_expression",
     "hardy_continuous_check",
     "hardy_discrete_check",
     "instance_rng",
@@ -138,7 +128,6 @@ __all__ = [
     "kj_equivalence_check",
     "kj_inequality_check",
     "lambda_norm",
-    "log_holder_constants",
     "lorentz_discrete_norm",
     "lorentz_identification_check",
     "lorentz_norm",

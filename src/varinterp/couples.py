@@ -12,22 +12,26 @@
   of the decreasing rearrangement over (0, t) (Holmstedt); the optimal
   decompositions are truncations at the heights f*(t), all read off one
   rearrangement.
-* `GenericCouple` (``finite_generic``): two arbitrary norms on R^n (n
-  small), given as `NormSpec`s or callables that map a (B, n) array to the
-  B norms of its rows. No closed form; K is computed by the brute-force
-  minimizer below, which is also the independent oracle for the closed
-  forms of the other two classes: k_many and decompose_many run one
-  independent search per t, at the minimizer's defaults.
+* `GenericCouple` (``finite_generic``): two weighted p-norms on R^n (n
+  small), given as `NormSpec`s. No closed form; K is computed by the
+  brute-force minimizer below, which is also the independent oracle for
+  the closed forms of the other two classes: k_many and decompose_many run
+  one independent search per t, at the minimizer's defaults.
 
 Decompositions and batch norms work on value arrays: a row is a vector of
 R^n, or the atom values of a function on the atoms of f. Every norm here
 is absolute and monotone (|g| <= |h| coordinatewise implies
 norm(g) <= norm(h)), which confines optimal decompositions to the box
-between 0 and f and makes coordinate descent with line searches sound. The
-brute-force minimizer runs all its starts in lockstep: each round of a line
-search evaluates 17 points per distinct search in one call of the couple's
-batch objective cost_many, and every row evaluated counts against its
-evaluation cap.
+between 0 and f, where the brute-force minimizer runs coordinate descent
+with line searches. That descent can stop above the minimum: where an
+l-inf maximum ties two coordinates, no move of one coordinate lowers the
+cost, so a generic couple's K is an upper bound. With
+finite_generic(NormSpec(inf, [1.1, 3.0]), NormSpec(2, [3.7, 1.7])),
+f = [-0.3, -0.8] and t = 1 it is 1.50300000019, where a dense grid over
+the box reaches 1.49300522. The minimizer runs all its starts in
+lockstep: each round of a line search evaluates 17 points per distinct
+search in one call of the couple's batch objective cost_many, and every
+row evaluated counts against its evaluation cap.
 Starts that agree, bit for bit, on the other coordinates and the bracket
 share one search. After the first sweep a line search scans a narrow
 bracket around each start's current value, and the whole box only for the
@@ -105,8 +109,8 @@ class Couple:
     f1 = f - f0; element(g, f), the element with values g on the atoms of
     f; and reversed(), the couple (A1, A0). The class attributes say what a
     caller may rely on: is_vector_couple (elements are vectors in R^n),
-    dimension (n, for a weighted sequence couple) and ordered (norm0 <=
-    norm1 on every element).
+    dimension (n, for a weighted sequence or generic couple) and ordered
+    (norm0 <= norm1 on every element).
     """
 
     is_vector_couple = True
@@ -241,21 +245,21 @@ class L1LinfCouple(Couple):
 
 
 class GenericCouple(Couple):
-    """Two norms on R^n, each a NormSpec or a callable; K by brute force.
+    """Two NormSpecs on R^n of one dimension; K by brute force.
 
-    Each norm maps a (B, n) array to the (B,) array of the norms of its
-    rows; norm0(f) and norm1(f) are the case B = 1. k_many and
-    decompose_many run one k_brute_force per t and raise CapacityError,
-    naming the smallest such t, if any search hit its evaluation cap.
+    k_many and decompose_many run one k_brute_force per t and raise
+    CapacityError, naming the smallest such t, if any search hit its
+    evaluation cap. Each K is the least cost its search found: an upper
+    bound, too high where the search stalled (see the module docstring).
     """
 
     def __init__(self, norm0, norm1):
-        specs = isinstance(norm0, NormSpec) and isinstance(norm1, NormSpec)
-        if specs and norm0.weights.shape != norm1.weights.shape:
+        if not (isinstance(norm0, NormSpec) and isinstance(norm1, NormSpec)):
+            raise ConfigError("finite_generic needs two NormSpecs")
+        if norm0.weights.shape != norm1.weights.shape:
             raise ConfigError("norm specs must share the dimension")
-        if not (callable(norm0) and callable(norm1)):
-            raise ConfigError("finite_generic needs two NormSpecs or two callables")
         self.norms = (norm0, norm1)
+        self.dimension = len(norm0.weights)
 
     def norm0_many(self, G, f):
         return self.norms[0](G)
@@ -297,9 +301,19 @@ def _require_positive(t):
         raise DomainError("the functional parameter t must be a finite positive real")
 
 
-def _require_finite(couple, f):
-    if couple.is_vector_couple and not np.isfinite(np.asarray(f, dtype=float)).all():
+def _checked_element(couple, f):
+    """f, as a float array for a vector couple, where it must be finite
+    and, if the couple has a dimension, of that length (ConfigError
+    otherwise); an element of another couple is returned as it is."""
+    if not couple.is_vector_couple:
+        return f
+    f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
         raise ConfigError("a vector of a vector couple must be finite")
+    if couple.dimension is not None and f.shape != (couple.dimension,):
+        raise ConfigError(f"a vector of shape {f.shape} does not match the "
+                          f"couple's dimension {couple.dimension}")
+    return f
 
 
 def k_functional(couple, t, f):
@@ -310,18 +324,19 @@ def k_functional(couple, t, f):
 
 def k_functional_many(couple, ts, f):
     """K(t, f) for an array of t values, sharing work across them; the
-    vector f of a vector couple must be finite (ConfigError otherwise)."""
+    vector f of a vector couple must be finite and of the couple's
+    dimension (ConfigError otherwise)."""
     ts = np.asarray(ts, dtype=float)
     if (ts <= 0).any() or not np.isfinite(ts).all():
         raise DomainError("the functional parameter t must be a finite positive real")
-    _require_finite(couple, f)
+    _checked_element(couple, f)
     return couple.k_many(ts, f)
 
 
 def decompose(couple, t, f):
     """A near-optimal split f = f0 + f1 realizing K(t, f), as elements."""
     _require_positive(t)
-    _require_finite(couple, f)
+    _checked_element(couple, f)
     f0, f1 = couple.decompose_many(np.array([float(t)]), f)
     return couple.element(f0[0], f), couple.element(f1[0], f)
 
@@ -406,26 +421,26 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     other coordinates and its bracket, so starts that agree on both, bit
     for bit, share one search; since a batch norm of a row equals that
     row's norm alone, every start's path is the same as if it ran alone.
-    Convexity makes each line search exact up to tolerance, while the
-    restarts guard against stalling on kinks of nonsmooth norms. A start
-    stops after two sweeps in a row that improve it by at most resolution
-    (relatively), after a sweep that moves none of its coordinates, bit for
-    bit, or after 80 sweeps. After a warm sweep that stop is exact: the
-    next sweep would repeat it, with the same brackets, points and values.
-    After the cold first sweep it is not: every coordinate already beats
-    its scan of the whole box, but the warm sweep skipped may still move
-    the start slightly, and the value in its last bit. evaluations counts
-    the rows actually evaluated: every start once, then the trial points
-    of each distinct search. The budget of 100,000 evaluations applies to
-    that count, is shared by the starts, and a breach is reported as
-    cap_hit, not hidden. f must be a finite vector.
+    Convexity makes each line search exact up to tolerance, but the
+    restarts do not prevent a stall: where an l-inf maximum ties two
+    coordinates, every start can stop above the minimum (see the module
+    docstring), so the value is an upper bound for K. A start stops after
+    two sweeps in a row that improve it by at most resolution (relatively),
+    after a sweep that moves none of its coordinates, bit for bit, or after
+    80 sweeps. After a warm sweep that stop is exact: the next sweep would
+    repeat it, with the same brackets, points and values. After the cold
+    first sweep it is not: every coordinate already beats its scan of the
+    whole box, but the warm sweep skipped may still move the start
+    slightly, and the value in its last bit. evaluations counts the rows
+    actually evaluated: every start once, then the trial points of each
+    distinct search. The budget of 100,000 evaluations applies to that
+    count, is shared by the starts, and a breach is reported as cap_hit,
+    not hidden. f must be a finite vector of the couple's dimension.
     """
     _require_positive(t)
     if not couple.is_vector_couple:
         raise ConfigError("brute-force K needs a finite-dimensional couple")
-    f = np.asarray(f, dtype=float)
-    if not np.isfinite(f).all():
-        raise ConfigError("brute-force K needs a finite vector f")
+    f = _checked_element(couple, f)
     n = len(f)
     if n > 6:
         raise CapacityError(f"brute-force K supports dimension <= 6, got {n}")
@@ -519,8 +534,10 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
 
 
 def j_functional(couple, t, f):
-    """J(t, f) = max(norm0(f), t norm1(f)) for f in the intersection."""
+    """J(t, f) = max(norm0(f), t norm1(f)) for f in the intersection; a
+    vector f is checked as by k_functional_many."""
     _require_positive(t)
+    _checked_element(couple, f)
     return max(couple.norm0(f), t * couple.norm1(f))
 
 

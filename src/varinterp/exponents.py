@@ -4,12 +4,12 @@ An exponent is a function p with values in [1, oo) together with its limit
 values p(0) and p_inf. Every exponent is an ExponentFunction holding one
 expression tree (a constant, a parsed DSL expression or a piecewise table),
 evaluated on one path. Exponents enter every norm computation pointwise, so
-evaluation is vectorized over numpy arrays. The module also estimates
-log-Holder continuity constants by sampling:
+evaluation is vectorized over numpy arrays. The module also samples the
+log-Holder constants at the two ends of the half-line, which are all the
+key-estimate checks need:
 
     c_origin   = sup_x |p(x) - p(0)|   * ln(e + 1/x)
     c_infinity = sup_x |p(x) - p_inf|  * ln(e + x)
-    c_local    = sup_{x,y} |p(x) - p(y)| * ln(e + 1/|x - y|)
 
 All logarithms are natural logarithms.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -30,14 +29,7 @@ from .errors import (
     InvalidExponentError,
 )
 
-__all__ = [
-    "ExponentFunction",
-    "LogHolderReport",
-    "parse_expression",
-    "evaluate_expression",
-    "estimate_log_holder",
-    "log_holder_constants",
-]
+__all__ = ["ExponentFunction"]
 
 PROBE_ZERO = 1e-12
 PROBE_INFINITY = 1e12
@@ -352,18 +344,8 @@ def _checked(values, name):
 
 
 # ---------------------------------------------------------------------------
-# Log-Holder estimation
+# Log-Holder constants at the ends
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogHolderReport:
-    c_log_origin: float
-    c_log_infinity: float
-    c_log_local: float
-    worst_witness: tuple
-    grid_used: object
-    suspected_non_log_holder: bool
 
 
 def _log_holder_endpoints(values, limit_at_zero, limit_at_infinity, nodes):
@@ -371,54 +353,3 @@ def _log_holder_endpoints(values, limit_at_zero, limit_at_infinity, nodes):
     c_origin = float(np.max(np.abs(values - limit_at_zero) * np.log(math.e + 1.0 / nodes)))
     c_infinity = float(np.max(np.abs(values - limit_at_infinity) * np.log(math.e + nodes)))
     return c_origin, c_infinity
-
-
-def log_holder_constants(fn: Callable, limit_at_zero, limit_at_infinity, nodes):
-    """Sampled log-Holder constants of an arbitrary function on given nodes.
-
-    Returns (c_origin, c_infinity, c_local, witness) where witness is the
-    node pair realizing c_local. Used both for exponents p and for their
-    reciprocals 1/p in the key-estimate checks.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(fn(nodes), dtype=float)
-    c_origin, c_infinity = _log_holder_endpoints(
-        values, limit_at_zero, limit_at_infinity, nodes)
-
-    c_local = 0.0
-    witness = (float(nodes[0]), float(nodes[0]))
-    block = 256
-    n = len(nodes)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        dx = np.abs(nodes[start:stop, None] - nodes[None, :])
-        dv = np.abs(values[start:stop, None] - values[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = dv * np.log(math.e + 1.0 / dx)
-        ratio[dx == 0.0] = 0.0
-        flat = int(np.argmax(ratio))
-        best = float(ratio.flat[flat])
-        if best > c_local:
-            c_local = best
-            i, j = divmod(flat, n)
-            witness = (float(nodes[start + i]), float(nodes[j]))
-    return c_origin, c_infinity, c_local, witness
-
-
-def estimate_log_holder(p, grid):
-    """Estimate log-Holder constants of an exponent by grid sampling.
-
-    The local constant is also re-estimated on a grid with doubled sampling
-    density; a marked growth flags the exponent as suspected non-log-Holder
-    (a jump makes c_local grow by about |jump| * ln 2 per density doubling,
-    while for genuinely log-Holder exponents the estimate is stable).
-    """
-    if not (math.isfinite(p.p_at_zero) and math.isfinite(p.p_at_infinity)):
-        raise ConfigError("estimate_log_holder needs finite limits p(0) and p_inf")
-    c0, cinf, cloc, witness = log_holder_constants(
-        p, p.p_at_zero, p.p_at_infinity, grid.nodes)
-    fine = grid.refined()
-    _, _, cloc_fine, _ = log_holder_constants(
-        p, p.p_at_zero, p.p_at_infinity, fine.nodes)
-    flagged = (cloc_fine - cloc) > 0.1 * max(cloc, 1e-12) + 0.05
-    return LogHolderReport(c0, cinf, cloc, witness, grid, bool(flagged))

@@ -592,22 +592,20 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *, inner_grid,
     discrete norm of f in (X_0, X_1)_{eta, q} by the couple's K at
     t = 2^-outer_V, ..., 2^outer_V, and compares with the direct norm at
     theta = (1-eta) theta0 + eta theta1. The couple must be a weighted
-    sequence couple and f a finite vector (ConfigError otherwise): K is
-    linear in |g| there, so the brute-force objective of a batch of g, both
-    derived norms, is two matrix products and one batched Luxemburg solve,
-    and K has a lower bound by duality. Where that bound lies within
-    resolution (relatively) of the best corner g = S f, K is that corner's
-    value; every other t is searched by brute force, one random start each
-    (see _KMethodCouple.outer_k).
+    sequence couple and f a finite vector of its dimension (ConfigError
+    otherwise): K is linear in |g| there, so the brute-force objective of a
+    batch of g, both derived norms, is two matrix products and one batched
+    Luxemburg solve, and K has a lower bound by duality. Where that bound
+    lies within resolution (relatively) of the best corner g = S f, K is
+    that corner's value; every other t is searched by brute force, one
+    random start each (see _KMethodCouple.outer_k).
     Refining the inner grid may move the equivalence constant by at most
     0.1, relatively. A brute-force K that hits its evaluation cap, or that
     ends below the duality bound by more than 1e-9 relatively, fails.
     """
     if not couple.is_vector_couple:
         raise ConfigError("reiteration_check needs a finite-dimensional couple")
-    f = np.asarray(f, dtype=float)
-    if not np.isfinite(f).all():
-        raise ConfigError("a vector of a vector couple must be finite")
+    f = couples._checked_element(couple, f)
     if len(f) > 4:
         raise CapacityError("reiteration supports dimension <= 4")
     if not 0.0 < eta < 1.0 or not 0.0 < theta0 < theta1 < 1.0 or outer_V < 1:

@@ -191,6 +191,27 @@ def test_kfunc_command_rejects_non_finite_vectors(capsys):
         assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("couple, dimension", [
+    ('{"kind": "finite_generic", "norm0": {"p": 2, "weights": [1.0]}, '
+     '"norm1": {"p": "inf", "weights": [2.0]}}', 1),
+    ('{"kind": "finite_generic", "norm0": {"p": 2, "weights": [1.0, 1.5]}, '
+     '"norm1": {"p": "inf", "weights": [1.0, 2.0]}}', 2),
+    ('{"kind": "weighted_seq", "w0": [1.0], "w1": [2.0]}', 1),
+    ('{"kind": "weighted_seq", "w0": [1.0, 2.5], "w1": [3.0, 0.5]}', 2),
+], ids=["finite_generic-1", "finite_generic-2", "weighted_seq-1",
+        "weighted_seq-2"])
+def test_kfunc_command_rejects_vectors_of_another_dimension(couple, dimension,
+                                                            capsys):
+    # a one-element couple would otherwise broadcast over the vector
+    code = main(["kfunc", "--couple", couple, "--function", "[0.7, -1.3, 0.4]",
+                 "--t", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a vector of shape (3,) does not match the "
+                            f"couple's dimension {dimension}\n")
+
+
 def test_rearrange_command(capsys):
     code = main(["rearrange", "--function",
                  '{"atoms": [[1.0, 0.5], [3.0, 0.5], [2.0, 0.75]]}'])

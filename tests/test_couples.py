@@ -201,6 +201,40 @@ def test_finite_generic_norm_specs():
     assert kv <= 1.5 * c.norm1(f) + 1e-12
 
 
+def test_finite_generic_takes_two_norm_specs_of_one_dimension():
+    spec = NormSpec(2.0, [1.0, 1.0])
+    # a callable norm, even a NormSpec's own, has no weights to check
+    for norm0, norm1 in ((spec, spec.__call__), (spec.__call__, spec),
+                         (spec.__call__, spec.__call__)):
+        with pytest.raises(ConfigError, match="^finite_generic needs two NormSpecs$"):
+            Couple.finite_generic(norm0, norm1)
+    with pytest.raises(ConfigError, match="share the dimension"):
+        Couple.finite_generic(spec, NormSpec(1.0, [1.0, 2.0, 3.0]))
+    assert Couple.finite_generic(spec, NormSpec(1.0, [1.0, 2.0])).dimension == 2
+
+
+@pytest.mark.parametrize("couple", [
+    Couple.weighted_seq([1.0, 2.0], [1.0, 0.5]),
+    Couple.finite_generic(NormSpec(2.0, [1.0, 1.0]), NormSpec(1.0, [1.0, 2.0])),
+    Couple.weighted_seq([1.0], [2.0]),
+    Couple.finite_generic(NormSpec(2.0, [1.0]), NormSpec(math.inf, [2.0])),
+], ids=["weighted_seq-2", "finite_generic-2", "weighted_seq-1", "finite_generic-1"])
+def test_vector_couples_reject_vectors_of_another_dimension(couple):
+    # a one-element couple would otherwise broadcast over the vector
+    message = f"does not match the couple's dimension {couple.dimension}$"
+    for bad in ([0.7, -1.3, 0.4], [[0.7, -1.3]], 0.7):
+        with pytest.raises(ConfigError, match=message):
+            k_functional(couple, 1.0, bad)
+        with pytest.raises(ConfigError, match=message):
+            k_functional_many(couple, [0.5, 2.0], bad)
+        with pytest.raises(ConfigError, match=message):
+            decompose(couple, 1.0, bad)
+        with pytest.raises(ConfigError, match=message):
+            k_brute_force(couple, 1.0, bad)
+        with pytest.raises(ConfigError, match=message):
+            j_functional(couple, 1.0, bad)
+
+
 def test_generic_couple_raises_when_brute_force_hits_its_cap(monkeypatch):
     real = couples.k_brute_force
     c = Couple.finite_generic(NormSpec(2.0, [1.0, 1.0]), NormSpec(1.0, [1.0, 2.0]))
@@ -344,19 +378,28 @@ def test_warm_bracket_scan_escapes_exactly_through_inner_ends():
     assert 0 < escapes < 800
 
 
+class CountedNorms(Couple):
+    """Two NormSpecs as a plain vector couple that records the number of
+    rows of every batch norm call."""
+
+    def __init__(self, spec0, spec1):
+        self.specs = (spec0, spec1)
+        self.seen = ([], [])
+
+    def norm0_many(self, G, f):
+        self.seen[0].append(len(G))
+        return self.specs[0](G)
+
+    def norm1_many(self, G, f):
+        self.seen[1].append(len(G))
+        return self.specs[1](G)
+
+
 def test_brute_force_counts_every_row_evaluated():
     # the starts run in lockstep, so the norms see many rows per call, and
     # the evaluation count is the number of rows
-    specs = (NormSpec(2.0, [1.0, 3.0, 0.5]), NormSpec(1.0, [2.0, 1.0, 1.0]))
-    seen = ([], [])
-
-    def counted(i):
-        def norm(G):
-            seen[i].append(len(G))
-            return specs[i](G)
-        return norm
-
-    c = Couple.finite_generic(counted(0), counted(1))
+    c = CountedNorms(NormSpec(2.0, [1.0, 3.0, 0.5]), NormSpec(1.0, [2.0, 1.0, 1.0]))
+    seen = c.seen
     res = k_brute_force(c, 0.7, np.array([1.0, -2.0, 0.5]), return_details=True)
     assert res.evaluations == sum(seen[0]) == sum(seen[1])
     assert len(seen[0]) < res.evaluations / 10

@@ -342,6 +342,23 @@ def test_reiteration_fails_when_brute_force_ends_below_the_duality_bound(
     assert not run().passed
 
 
+class KernelNorms(Couple):
+    """The derived couple's two norms, each a Luxemburg norm of |G| @
+    kernel, as a plain vector couple: one solve per norm and the default
+    cost_many, apart from _KMethodCouple's joint solve."""
+
+    def __init__(self, kernels, q_values, du):
+        self.kernels, self.q_values, self.du = kernels, q_values, du
+
+    def norm0_many(self, G, f):
+        return interp.weighted_power_norm(np.abs(G) @ self.kernels[0],
+                                          self.q_values, self.du)
+
+    def norm1_many(self, G, f):
+        return interp.weighted_power_norm(np.abs(G) @ self.kernels[1],
+                                          self.q_values, self.du)
+
+
 def reiteration_by_per_t_loop(calls, couple, f, theta0, theta1, eta, q, *,
                               inner_grid, outer_V, base_grid, resolution):
     """(outer_norm, constant, refined_constant) of reiteration_check, with
@@ -355,16 +372,10 @@ def reiteration_by_per_t_loop(calls, couple, f, theta0, theta1, eta, q, *,
         cost = couple.k_weights(ts)
         q_values = q.p_at_zero if q.is_constant else q.on_grid(grid_in)
 
-        def make_norm(theta_i):
-            # t_j^{-theta} K(t_j, g) for every row g of G is |G| @ kernel
-            kernel = (cost * ts[:, None] ** -theta_i).T
-
-            def nrm(G):
-                return interp.weighted_power_norm(np.abs(G) @ kernel, q_values,
-                                                  grid_in.du)
-            return nrm
-
-        derived = Couple.finite_generic(make_norm(theta0), make_norm(theta1))
+        # t_j^{-theta} K(t_j, g) for every row g of G is |G| @ kernel
+        derived = KernelNorms([(cost * ts[:, None] ** -theta_i).T
+                               for theta_i in (theta0, theta1)],
+                              q_values, grid_in.du)
         outer_ts = 2.0 ** np.arange(-outer_V, outer_V + 1)
         lower = interp._KMethodCouple(couple, grid_in, q_values,
                                       (theta0, theta1)).corner_bounds(
@@ -619,6 +630,17 @@ def test_reiteration_rejects_non_finite_vectors_before_any_search(monkeypatch):
                            match="^a vector of a vector couple must be finite$"):
             reiteration_check(WS, [bad, 1.0], 0.25, 0.75, 0.5, Q2,
                               inner_grid=HaarGrid(4, 4), outer_V=4)
+    assert calls == []
+
+
+def test_reiteration_rejects_vectors_of_another_dimension_before_any_search(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(interp._KMethodCouple, "outer_k",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="couple's dimension 2$"):
+        reiteration_check(WS, [1.0, 2.0, 0.5], 0.25, 0.75, 0.5, Q2,
+                          inner_grid=HaarGrid(4, 4), outer_V=4)
     assert calls == []
 
 
