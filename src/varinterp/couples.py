@@ -18,6 +18,10 @@
   the closed forms of the other two classes: k_many and decompose_many run
   one independent search per t, at the minimizer's defaults.
 
+Both vector couples are built from two `NormSpec`s of one shape; `NormSpec`
+alone validates weights. Each couple's checked(f) alone decides whether f
+is one of its elements, for the functionals below and its scalar norms.
+
 Decompositions and batch norms work on value arrays: a row is a vector of
 R^n, or the atom values of a function on the atoms of f. Every norm here
 is absolute and monotone (|g| <= |h| coordinatewise implies
@@ -85,8 +89,10 @@ class NormSpec:
         object.__setattr__(self, "weights", weights)
         if self.p < 1.0:
             raise ConfigError("norm exponent p must be >= 1")
-        if weights.ndim != 1 or np.any(weights <= 0) or not np.all(np.isfinite(weights)):
-            raise ConfigError("norm weights must be positive finite")
+        if (weights.ndim != 1 or not len(weights) or np.any(weights <= 0)
+                or not np.all(np.isfinite(weights))):
+            raise ConfigError("norm weights must be a non-empty 1-d array "
+                              "of positive finite numbers")
 
     def __call__(self, x):
         wx = self.weights * np.abs(np.asarray(x, dtype=float))
@@ -98,7 +104,8 @@ class NormSpec:
 class Couple:
     """A compatible couple (A0, A1); see the module docstring for the classes.
 
-    Every couple has norm0(f) and norm1(f); norm0_many(G, f) and
+    Every couple has checked(f), f as an element of the couple or
+    ConfigError; norm0(f) and norm1(f), which check f; norm0_many(G, f) and
     norm1_many(G, f), the norms of the rows of a (B, n) value array G on
     the atoms of f (vector couples ignore f), each equal to the scalar norm
     of that row bit for bit; cost_many(G, f, t), brute-force K's objective,
@@ -119,7 +126,7 @@ class Couple:
 
     @staticmethod
     def weighted_seq(w0, w1):
-        return WeightedSeqCouple(w0, w1)
+        return WeightedSeqCouple(NormSpec(1.0, w0), NormSpec(1.0, w1))
 
     @staticmethod
     def l1_linf():
@@ -127,15 +134,28 @@ class Couple:
 
     @staticmethod
     def finite_generic(norm0, norm1):
+        if not (isinstance(norm0, NormSpec) and isinstance(norm1, NormSpec)):
+            raise ConfigError("finite_generic needs two NormSpecs")
         return GenericCouple(norm0, norm1)
 
     # the defaults serve vector couples, whose elements are value arrays
+    def checked(self, f):
+        """f as a float array; it must be finite and, if the couple has a
+        dimension, of that length (ConfigError otherwise)."""
+        f = np.asarray(f, dtype=float)
+        if not np.isfinite(f).all():
+            raise ConfigError("a vector of a vector couple must be finite")
+        if self.dimension is not None and f.shape != (self.dimension,):
+            raise ConfigError(f"a vector of shape {f.shape} does not match the "
+                              f"couple's dimension {self.dimension}")
+        return f
+
     def norm0(self, f):
-        f = np.asarray(f, dtype=float)[None, :]
+        f = self.checked(f)[None, :]
         return float(self.norm0_many(f, f)[0])
 
     def norm1(self, f):
-        f = np.asarray(f, dtype=float)[None, :]
+        f = self.checked(f)[None, :]
         return float(self.norm1_many(f, f)[0])
 
     def element(self, g, f):
@@ -153,21 +173,29 @@ class Couple:
         raise ConfigError("K is linear in |f| only for weighted_seq")
 
 
-class WeightedSeqCouple(Couple):
-    """(l1(w0), l1(w1)) on R^n with positive finite weights."""
+class _NormSpecCouple(Couple):
+    """A vector couple given by two NormSpecs of one shape, which it keeps
+    as norms; it owns dimension and reversed()."""
 
-    def __init__(self, w0, w1):
-        w0 = np.asarray(w0, dtype=float)
-        w1 = np.asarray(w1, dtype=float)
-        if w0.shape != w1.shape or w0.ndim != 1 or len(w0) == 0:
-            raise ConfigError("weights must be 1-d arrays of equal positive length")
-        if np.any(w0 <= 0) or np.any(w1 <= 0):
-            raise ConfigError("weights must be positive")
-        if not (np.all(np.isfinite(w0)) and np.all(np.isfinite(w1))):
-            raise ConfigError("weights must be finite")
-        self.w0, self.w1 = w0, w1
-        self.dimension = len(w0)
-        self.ordered = bool(np.all(w0 <= w1))
+    def __init__(self, norm0, norm1):
+        if norm0.weights.shape != norm1.weights.shape:
+            raise ConfigError("norm specs must share the dimension")
+        self.norms = (norm0, norm1)
+        self.dimension = len(norm0.weights)
+
+    def reversed(self):
+        return type(self)(*self.norms[::-1])
+
+
+class WeightedSeqCouple(_NormSpecCouple):
+    """(l1(w0), l1(w1)) on R^n: two NormSpecs with p = 1. The batch norms
+    sum the weighted values directly, which on brute-force K's small
+    batches is quicker than calling the NormSpecs."""
+
+    def __init__(self, norm0, norm1):
+        super().__init__(norm0, norm1)
+        self.w0, self.w1 = norm0.weights, norm1.weights
+        self.ordered = bool(np.all(self.w0 <= self.w1))
 
     def norm0_many(self, G, f):
         # ndarray.sum is np.sum without its Python-level dispatch; numpy adds
@@ -190,9 +218,6 @@ class WeightedSeqCouple(Couple):
         f0 = np.where(self.w0 < ts[:, None] * self.w1, f, 0.0)
         return f0, f - f0
 
-    def reversed(self):
-        return WeightedSeqCouple(self.w1, self.w0)
-
     def operator_norms(self, matrix):
         """On l1(w) the norm of T is max_j sum_i w_i |T_ij| / w_j."""
         matrix = np.asarray(matrix, dtype=float)
@@ -203,22 +228,21 @@ class WeightedSeqCouple(Couple):
                 float(np.max((self.w1 @ abs_t) / self.w1)))
 
 
-def _profile(f):
-    if not isinstance(f, AtomFunction):
-        raise ConfigError("l1_linf elements are AtomFunction instances")
-    return rearrangement(f)
-
-
 class L1LinfCouple(Couple):
     """(L^1, L^inf) on a nonatomic measure space; elements are AtomFunctions."""
 
     is_vector_couple = False
 
+    def checked(self, f):
+        if not isinstance(f, AtomFunction):
+            raise ConfigError("l1_linf elements are AtomFunction instances")
+        return f
+
     def norm0(self, f):
-        return f.total_l1
+        return self.checked(f).total_l1
 
     def norm1(self, f):
-        return f.sup_value
+        return self.checked(f).sup_value
 
     def norm0_many(self, G, f):
         # a stack of (1, n) @ (n,) products takes each row's np.dot with the
@@ -232,11 +256,11 @@ class L1LinfCouple(Couple):
         return AtomFunction(g, f.masses)
 
     def k_many(self, ts, f):
-        return _profile(f).integral_to(ts)
+        return rearrangement(f).integral_to(ts)
 
     def decompose_many(self, ts, f):
         """Truncations at the heights f*(t_j), the smallest optimal levels."""
-        heights = _profile(f).value_at(ts)
+        heights = rearrangement(f).value_at(ts)
         f0 = np.maximum(f.values - heights[:, None], 0.0)
         return f0, f.values - f0
 
@@ -244,7 +268,7 @@ class L1LinfCouple(Couple):
         raise ConfigError("the l1_linf couple has no finite reversed representation")
 
 
-class GenericCouple(Couple):
+class GenericCouple(_NormSpecCouple):
     """Two NormSpecs on R^n of one dimension; K by brute force.
 
     k_many and decompose_many run one k_brute_force per t and raise
@@ -252,14 +276,6 @@ class GenericCouple(Couple):
     evaluation cap. Each K is the least cost its search found: an upper
     bound, too high where the search stalled (see the module docstring).
     """
-
-    def __init__(self, norm0, norm1):
-        if not (isinstance(norm0, NormSpec) and isinstance(norm1, NormSpec)):
-            raise ConfigError("finite_generic needs two NormSpecs")
-        if norm0.weights.shape != norm1.weights.shape:
-            raise ConfigError("norm specs must share the dimension")
-        self.norms = (norm0, norm1)
-        self.dimension = len(norm0.weights)
 
     def norm0_many(self, G, f):
         return self.norms[0](G)
@@ -287,9 +303,6 @@ class GenericCouple(Couple):
         f0 = self._searched(ts, f)[1]
         return f0, np.asarray(f, dtype=float) - f0
 
-    def reversed(self):
-        return GenericCouple(*self.norms[::-1])
-
 
 # ---------------------------------------------------------------------------
 # K- and J-functionals
@@ -301,21 +314,6 @@ def _require_positive(t):
         raise DomainError("the functional parameter t must be a finite positive real")
 
 
-def _checked_element(couple, f):
-    """f, as a float array for a vector couple, where it must be finite
-    and, if the couple has a dimension, of that length (ConfigError
-    otherwise); an element of another couple is returned as it is."""
-    if not couple.is_vector_couple:
-        return f
-    f = np.asarray(f, dtype=float)
-    if not np.isfinite(f).all():
-        raise ConfigError("a vector of a vector couple must be finite")
-    if couple.dimension is not None and f.shape != (couple.dimension,):
-        raise ConfigError(f"a vector of shape {f.shape} does not match the "
-                          f"couple's dimension {couple.dimension}")
-    return f
-
-
 def k_functional(couple, t, f):
     """K(t, f) = inf over f = f0 + f1 of norm0(f0) + t norm1(f1)."""
     _require_positive(t)
@@ -323,20 +321,18 @@ def k_functional(couple, t, f):
 
 
 def k_functional_many(couple, ts, f):
-    """K(t, f) for an array of t values, sharing work across them; the
-    vector f of a vector couple must be finite and of the couple's
-    dimension (ConfigError otherwise)."""
+    """K(t, f) for an array of t values, sharing work across them; f must
+    pass couple.checked."""
     ts = np.asarray(ts, dtype=float)
     if (ts <= 0).any() or not np.isfinite(ts).all():
         raise DomainError("the functional parameter t must be a finite positive real")
-    _checked_element(couple, f)
-    return couple.k_many(ts, f)
+    return couple.k_many(ts, couple.checked(f))
 
 
 def decompose(couple, t, f):
     """A near-optimal split f = f0 + f1 realizing K(t, f), as elements."""
     _require_positive(t)
-    _checked_element(couple, f)
+    f = couple.checked(f)
     f0, f1 = couple.decompose_many(np.array([float(t)]), f)
     return couple.element(f0[0], f), couple.element(f1[0], f)
 
@@ -440,7 +436,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     _require_positive(t)
     if not couple.is_vector_couple:
         raise ConfigError("brute-force K needs a finite-dimensional couple")
-    f = _checked_element(couple, f)
+    f = couple.checked(f)
     n = len(f)
     if n > 6:
         raise CapacityError(f"brute-force K supports dimension <= 6, got {n}")
@@ -534,10 +530,9 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
 
 
 def j_functional(couple, t, f):
-    """J(t, f) = max(norm0(f), t norm1(f)) for f in the intersection; a
-    vector f is checked as by k_functional_many."""
+    """J(t, f) = max(norm0(f), t norm1(f)) for f in the intersection; the
+    norms check f."""
     _require_positive(t)
-    _checked_element(couple, f)
     return max(couple.norm0(f), t * couple.norm1(f))
 
 

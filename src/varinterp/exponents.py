@@ -81,7 +81,6 @@ def _tokenize(source):
 
 class _Parser:
     def __init__(self, source):
-        self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
 
@@ -225,13 +224,12 @@ class ExponentFunction:
     ("table", arg, breakpoints, values) node. Calling an exponent evaluates
     the tree, checks that the values are finite and >= 1 - 1e-12, and
     clamps them at 1. Instances are immutable, hashable and compare by
-    limits and tree; source, the DSL text, is informational.
+    limits and tree.
     """
 
     p_at_zero: float
     p_at_infinity: float
     tree: tuple = field(repr=False)
-    source: str | None = field(default=None, compare=False)
     _grid_values: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -240,7 +238,7 @@ class ExponentFunction:
         value = float(value)
         if not math.isfinite(value) or value < 1.0:
             raise InvalidExponentError(f"constant exponent {value} is below 1")
-        return cls(value, value, ("num", value), repr(value))
+        return cls(value, value, ("num", value))
 
     @classmethod
     def from_expression(cls, source, p_at_zero=None, p_at_infinity=None):
@@ -260,7 +258,7 @@ class ExponentFunction:
             p_at_infinity = evaluate_expression(tree, PROBE_INFINITY)
         p_zero, p_inf = _checked(np.array([p_at_zero, p_at_infinity], dtype=float),
                                  "the limit p(0) or p_inf")
-        return cls(float(p_zero), float(p_inf), tree, source)
+        return cls(float(p_zero), float(p_inf), tree)
 
     @classmethod
     def piecewise(cls, breakpoints, values):

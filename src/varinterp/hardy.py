@@ -191,35 +191,26 @@ def key_estimate_check(p, interval, w, f, m, variant):
 
     c_origin, c_infty = _log_holder_endpoints(
         1.0 / np.asarray(p(nodes), dtype=float), 1.0 / p_zero, 1.0 / p_inf, nodes)
-    c_log = c_infty if variant == "at_infinity" else c_origin
+    # the nodes x of Q are the nodes y, so g(x, .) is evaluated at y
+    if variant == "local":
+        c_log, p_ref, omega = c_origin, p_y, min(b ** m, 1.0)
+        avg_g_y = float(np.sum((math.e + 1.0 / y) ** (-m) * w_y * dy)) / w_measure
+        g_x = (math.e + 1.0 / y) ** (-m) + avg_g_y
+    elif variant == "at_zero":
+        c_log, p_ref, omega = c_origin, p_zero, min(b ** m, 1.0)
+        g_x = (math.e + 1.0 / y) ** (-m) * (p_y < p_zero)
+    else:
+        c_log, p_ref, omega = c_infty, p_inf, 1.0
+        g_x = (math.e + y) ** (-m) * (p_y < p_inf)
     gamma = math.exp(-4.0 * m * c_log)
 
     avg_f = float(np.sum(f_y * w_y * dy)) / w_measure
-    if variant == "local":
-        p_ref = p_y
-    elif variant == "at_zero":
-        p_ref = p_zero
-    else:
-        p_ref = p_inf
     avg_f_pow = float(np.sum(f_y ** p_ref * w_y * dy)) / w_measure
-
-    x = y
-    p_x = p_y
-    lhs = (gamma * avg_f) ** p_x
-    first = np.maximum(1.0, w_measure ** (1.0 - p_x / p_minus)) * avg_f_pow
-    if variant == "local":
-        avg_g_y = float(np.sum((math.e + 1.0 / y) ** (-m) * w_y * dy)) / w_measure
-        g_x = (math.e + 1.0 / x) ** (-m) + avg_g_y
-        omega = min(b ** m, 1.0)
-    elif variant == "at_zero":
-        g_x = (math.e + 1.0 / x) ** (-m) * (p_x < p_zero)
-        omega = min(b ** m, 1.0)
-    else:
-        g_x = (math.e + x) ** (-m) * (p_x < p_inf)
-        omega = 1.0
+    lhs = (gamma * avg_f) ** p_y
+    first = np.maximum(1.0, w_measure ** (1.0 - p_y / p_minus)) * avg_f_pow
     margins = first + omega * g_x - lhs
     worst = int(np.argmin(margins))
     worst_margin = float(margins[worst])
     passed = accepted and worst_margin >= -1e-12
     return KeyEstimateReport(variant, accepted, gamma, c_log, w_measure,
-                             worst_margin, float(x[worst]), passed)
+                             worst_margin, float(y[worst]), passed)

@@ -605,7 +605,7 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *, inner_grid,
     """
     if not couple.is_vector_couple:
         raise ConfigError("reiteration_check needs a finite-dimensional couple")
-    f = couples._checked_element(couple, f)
+    f = couple.checked(f)
     if len(f) > 4:
         raise CapacityError("reiteration supports dimension <= 4")
     if not 0.0 < eta < 1.0 or not 0.0 < theta0 < theta1 < 1.0 or outer_V < 1:
@@ -701,7 +701,7 @@ def class_membership_check(couple, f, params):
     ss = np.geomspace(params.grid.t_min, params.grid.t_max, 41)
     kvals = k_functional_many(couple, ss, f)
     c_k = float(np.max(kvals / ss ** theta)) / knorm
-    jvals = np.array([j_functional(couple, float(s), f) for s in ss])
+    jvals = np.maximum(couple.norm0(f), ss * couple.norm1(f))
     c_j = knorm * float(np.max(ss ** theta / jvals))
     passed = math.isfinite(c_k) and math.isfinite(c_j)
     return ClassMembershipReport(c_k, c_j, passed)

@@ -157,6 +157,9 @@ _NORM_MIN = 2.0 ** -996
 # sum of q_i * term_i overflows
 _RHO_MIN = 2.0 ** -960
 _RHO_MAX = 2.0 ** 960
+# a row stops once its modular sandwich [lo, hi] is narrower than this:
+# hi - lo <= _STOP * lo, or log(hi / lo) <= _STOP in log space
+_STOP = 1e-12
 
 
 def _modular_terms(c, q, lam):
@@ -264,7 +267,7 @@ def _solve(b, tops, least, exponents, weights):
                 hi = lo if up == down else l * r ** down
                 if hi < lo:
                     lo, hi = hi, lo
-                if hi - lo > 1e-12 * lo:
+                if hi - lo > _STOP * lo:
                     newton.append(j)
                     continue
                 his[rows[j]] = hi
@@ -317,7 +320,7 @@ def _log_space_norms(scaled, e, q, weights, up, down):
         total = terms.sum(axis=1)
         g = np.log(total)
         # a stopped row keeps its s, and so its g, while the others step
-        stop = g * (down - up) <= 1e-12
+        stop = g * (down - up) <= _STOP
         if stop.all():
             logs = s + g * down
             k = np.floor(logs / LN2)

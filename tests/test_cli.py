@@ -212,6 +212,21 @@ def test_kfunc_command_rejects_vectors_of_another_dimension(couple, dimension,
                             f"couple's dimension {dimension}\n")
 
 
+@pytest.mark.parametrize("couple", [
+    '{"kind": "finite_generic", "norm0": {"p": 2, "weights": []}, '
+    '"norm1": {"p": "inf", "weights": []}}',
+    '{"kind": "weighted_seq", "w0": [], "w1": []}',
+], ids=["finite_generic", "weighted_seq"])
+def test_kfunc_command_rejects_empty_weights(couple, capsys):
+    # an empty couple would otherwise give K = 0 for the empty vector
+    code = main(["kfunc", "--couple", couple, "--function", "[]", "--t", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "non-empty" in captured.err
+
+
 def test_rearrange_command(capsys):
     code = main(["rearrange", "--function",
                  '{"atoms": [[1.0, 0.5], [3.0, 0.5], [2.0, 0.75]]}'])

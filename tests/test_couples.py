@@ -44,6 +44,8 @@ def test_weighted_seq_validation():
         Couple.weighted_seq([1.0, -1.0], [1.0, 1.0])
     with pytest.raises(ConfigError):
         Couple.weighted_seq([1.0], [1.0, 1.0])
+    with pytest.raises(ConfigError, match="non-empty"):
+        Couple.weighted_seq([], [])
 
 
 def test_weighted_norms():
@@ -210,6 +212,9 @@ def test_finite_generic_takes_two_norm_specs_of_one_dimension():
             Couple.finite_generic(norm0, norm1)
     with pytest.raises(ConfigError, match="share the dimension"):
         Couple.finite_generic(spec, NormSpec(1.0, [1.0, 2.0, 3.0]))
+    # a couple of dimension 0 has no elements but the empty vector
+    with pytest.raises(ConfigError, match="non-empty"):
+        Couple.finite_generic(NormSpec(2.0, []), NormSpec(math.inf, []))
     assert Couple.finite_generic(spec, NormSpec(1.0, [1.0, 2.0])).dimension == 2
 
 
@@ -233,6 +238,25 @@ def test_vector_couples_reject_vectors_of_another_dimension(couple):
             k_brute_force(couple, 1.0, bad)
         with pytest.raises(ConfigError, match=message):
             j_functional(couple, 1.0, bad)
+        with pytest.raises(ConfigError, match=message):
+            couple.norm0(bad)
+        with pytest.raises(ConfigError, match=message):
+            couple.norm1(bad)
+
+
+def test_l1_linf_rejects_elements_that_are_not_atom_functions():
+    message = "^l1_linf elements are AtomFunction instances$"
+    for bad in ([1.0, 2.0], np.array([1.0, 2.0])):
+        with pytest.raises(ConfigError, match=message):
+            j_functional(LL, 1.0, bad)
+        with pytest.raises(ConfigError, match=message):
+            LL.norm0(bad)
+        with pytest.raises(ConfigError, match=message):
+            LL.norm1(bad)
+        with pytest.raises(ConfigError, match=message):
+            k_functional(LL, 1.0, bad)
+        with pytest.raises(ConfigError, match=message):
+            decompose(LL, 1.0, bad)
 
 
 def test_generic_couple_raises_when_brute_force_hits_its_cap(monkeypatch):
@@ -622,10 +646,13 @@ def test_operator_bound_check_identity():
 
 
 def test_reverse_swaps_norms():
-    c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
-    r = c.reversed()
     f = np.array([1.0, -1.0])
-    assert r.norm0(f) == c.norm1(f) and r.norm1(f) == c.norm0(f)
+    for c in (Couple.weighted_seq([1.0, 2.0], [3.0, 0.5]),
+              Couple.finite_generic(NormSpec(2.0, [1.0, 2.0]),
+                                    NormSpec(math.inf, [3.0, 0.5]))):
+        r = c.reversed()
+        assert type(r) is type(c)
+        assert r.norm0(f) == c.norm1(f) and r.norm1(f) == c.norm0(f)
     with pytest.raises(ConfigError):
         LL.reversed()
 
