@@ -23,8 +23,12 @@ from varinterp import (
     k_norm_sup,
     kj_equivalence_check,
     lorentz_identification_check,
-    proposition_checks,
     reiteration_check,
+)
+from varinterp.interp import (
+    prop_equal_limits,
+    prop_exponent_monotone,
+    prop_reversal_symmetry,
 )
 
 grid = HaarGrid(16, 32)
@@ -72,6 +76,15 @@ print(f"Lorentz identification: K-method {ident.k_method_norm:.6f}, "
       f"Lorentz {ident.lorentz_norm:.6f}, ratio {ident.ratio:.6f}")
 
 # Structural one-liners: monotonicity in the exponent, symmetry under
-# couple reversal, theta-monotonicity, and the trivial couple A0 = A1.
-for name, report in proposition_checks(couple, f, params).items():
+# couple reversal, and equal discrete norms for exponents that share both
+# limits. Each proposition checks its own hypotheses.
+q_wobble = ExponentFunction.from_expression("2.0 + min(t, 1/t)",
+                                            p_at_zero=2.0, p_at_infinity=2.0)
+reports = {
+    "exponent_monotone": prop_exponent_monotone(
+        couple, f, 0.5, q2, ExponentFunction.constant(3.0), grid),
+    "reversal_symmetry": prop_reversal_symmetry(couple, f, 0.5, q2, grid),
+    "equal_limits": prop_equal_limits(couple, f, 0.5, q2, q_wobble, grid),
+}
+for name, report in reports.items():
     print(f"  {name}: passed = {report.passed}")

@@ -62,7 +62,6 @@ from .interp import (
     kj_equivalence_check,
     lorentz_identification_check,
     operator_bound_check,
-    proposition_checks,
     reiteration_check,
 )
 from .hardy import (
@@ -78,7 +77,7 @@ from .suite import (
     run_check,
     run_check_suite,
 )
-from .cli import main as cli_main, parse_exponent
+from .cli import parse_exponent
 
 __version__ = "0.1.0"
 
@@ -107,7 +106,6 @@ __all__ = [
     "VarInterpError",
     "apply_operator",
     "class_membership_check",
-    "cli_main",
     "construct_j_representation",
     "decompose",
     "density_check",
@@ -136,7 +134,6 @@ __all__ = [
     "modular_norm_sandwich",
     "operator_bound_check",
     "parse_exponent",
-    "proposition_checks",
     "rearrangement",
     "reiteration_check",
     "run_check",

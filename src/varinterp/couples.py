@@ -309,14 +309,18 @@ class GenericCouple(_NormSpecCouple):
 # ---------------------------------------------------------------------------
 
 
-def _require_positive(t):
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t <= 0:
-        raise DomainError("the functional parameter t must be a finite positive real")
+def _checked_t(t):
+    """t as a float, if it is a finite positive real (a numpy scalar too)."""
+    if isinstance(t, (int, float, np.integer, np.floating)):
+        t = float(t)
+        if math.isfinite(t) and t > 0:
+            return t
+    raise DomainError("the functional parameter t must be a finite positive real")
 
 
 def k_functional(couple, t, f):
     """K(t, f) = inf over f = f0 + f1 of norm0(f0) + t norm1(f1)."""
-    _require_positive(t)
+    t = _checked_t(t)
     return float(k_functional_many(couple, np.array([t]), f)[0])
 
 
@@ -331,9 +335,9 @@ def k_functional_many(couple, ts, f):
 
 def decompose(couple, t, f):
     """A near-optimal split f = f0 + f1 realizing K(t, f), as elements."""
-    _require_positive(t)
+    t = _checked_t(t)
     f = couple.checked(f)
-    f0, f1 = couple.decompose_many(np.array([float(t)]), f)
+    f0, f1 = couple.decompose_many(np.array([t]), f)
     return couple.element(f0[0], f), couple.element(f1[0], f)
 
 
@@ -344,7 +348,7 @@ def k_truncation_oracle(f, t):
     with kinks only at atom values and 0, so scanning those candidates is
     exact. Returns (k_value, best_level) with the smallest optimal level.
     """
-    _require_positive(t)
+    t = _checked_t(t)
     candidates = np.unique(np.concatenate([[0.0], f.values]))
     excess = np.maximum(f.values[None, :] - candidates[:, None], 0.0)
     costs = excess @ f.masses + t * candidates
@@ -433,7 +437,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     count, is shared by the starts, and a breach is reported as cap_hit,
     not hidden. f must be a finite vector of the couple's dimension.
     """
-    _require_positive(t)
+    t = _checked_t(t)
     if not couple.is_vector_couple:
         raise ConfigError("brute-force K needs a finite-dimensional couple")
     f = couple.checked(f)
@@ -532,7 +536,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
 def j_functional(couple, t, f):
     """J(t, f) = max(norm0(f), t norm1(f)) for f in the intersection; the
     norms check f."""
-    _require_positive(t)
+    t = _checked_t(t)
     return max(couple.norm0(f), t * couple.norm1(f))
 
 
@@ -553,8 +557,8 @@ def kj_inequality_check(couple, f, s, t):
     ordering, the same for J, and K(t) <= min(1, t/s) J(s) in both
     orderings. worst_margin is the smallest normalized slack margin.
     """
-    _require_positive(s)
-    _require_positive(t)
+    s = _checked_t(s)
+    t = _checked_t(t)
     k_s = k_functional(couple, s, f)
     k_t = k_functional(couple, t, f)
     j_s = j_functional(couple, s, f)

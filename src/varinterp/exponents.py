@@ -288,14 +288,6 @@ class ExponentFunction:
         return ExponentFunction(self.p_at_infinity, self.p_at_zero,
                                 _reflect(self.tree))
 
-    def shifted(self, c):
-        """max(p, 1) + c for a shift c >= 0."""
-        if not c >= 0.0:
-            raise ConfigError("an exponent shift must be >= 0")
-        return ExponentFunction(max(self.p_at_zero, 1.0) + c,
-                                max(self.p_at_infinity, 1.0) + c,
-                                ("+", ("max", self.tree, ("num", 1.0)), ("num", float(c))))
-
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0

@@ -57,7 +57,6 @@ __all__ = [
     "prop_equal_limits",
     "prop_theta_monotone",
     "prop_identical_couple",
-    "proposition_checks",
     "reiteration_check",
     "ReiterationReport",
     "lorentz_identification_check",
@@ -311,7 +310,6 @@ def density_check(couple, f, params):
 
 @dataclass(frozen=True)
 class PropositionReport:
-    name: str
     values: dict
     passed: bool
 
@@ -333,8 +331,7 @@ def prop_exponent_monotone(couple, f, theta, q, r, grid):
         ratio_r = norm_r / norm_q
         ratio_sup = sup_norm / norm_q
     passed = math.isfinite(ratio_r) and math.isfinite(ratio_sup)
-    return PropositionReport("exponent_monotone",
-                             {"norm_q": norm_q, "norm_r": norm_r,
+    return PropositionReport({"norm_q": norm_q, "norm_r": norm_r,
                               "sup_norm": sup_norm, "ratio_r": ratio_r,
                               "ratio_sup": ratio_sup}, passed)
 
@@ -360,8 +357,7 @@ def prop_reversal_symmetry(couple, f, theta, q, grid):
     kd_rev = k_norm_discrete(rev, f, 1.0 - theta, qi, q0, 8)
     d_ratio = kd_rev / kd_fwd if kd_fwd > 0 else 1.0
     passed = abs(ratio - 1.0) <= 1e-9 and 0.25 <= d_ratio <= 4.0
-    return PropositionReport("reversal_symmetry",
-                             {"continuous_forward": forward,
+    return PropositionReport({"continuous_forward": forward,
                               "continuous_backward": backward,
                               "continuous_ratio": ratio,
                               "discrete_ratio": d_ratio}, passed)
@@ -386,7 +382,7 @@ def prop_equal_limits(couple, f, theta, q_a, q_b, grid):
               "continuous_a": c_a, "continuous_b": c_b,
               "continuous_ratio": c_b / c_a if c_a > 0 else 1.0}
     passed = d_a == d_b
-    return PropositionReport("equal_limits", values, passed)
+    return PropositionReport(values, passed)
 
 
 def prop_theta_monotone(couple, f, theta_small, theta_large, q, grid):
@@ -404,8 +400,7 @@ def prop_theta_monotone(couple, f, theta_small, theta_large, q, grid):
     flat = abs(k_top - k_one) <= 1e-9 * max(k_one, 1e-300)
     ratio = n_small / n_large if n_large > 0 else 0.0
     passed = flat and math.isfinite(ratio)
-    return PropositionReport("theta_monotone",
-                             {"norm_small_theta": n_small,
+    return PropositionReport({"norm_small_theta": n_small,
                               "norm_large_theta": n_large,
                               "ratio": ratio, "k_flat_above_one": flat}, passed)
 
@@ -433,32 +428,7 @@ def prop_identical_couple(weights, f, theta, q, grid):
         expected = (m0 + m1) ** (1.0 / qc)
         values["expected_ratio"] = expected
         passed = passed and abs(ratio - expected) <= 2e-3 * expected
-    return PropositionReport("identical_couple", values, passed)
-
-
-def proposition_checks(couple, f, params):
-    """Run every structural proposition applicable to the couple."""
-    theta, q, grid = params.theta, params.q, params.grid
-    reports = {}
-    reports["exponent_monotone"] = prop_exponent_monotone(
-        couple, f, theta, q, q.shifted(1.0), grid)
-    if couple.is_vector_couple:
-        reports["reversal_symmetry"] = prop_reversal_symmetry(
-            couple, f, theta, q, grid)
-    if q.is_constant:
-        q_wobble = ExponentFunction.from_expression(
-            f"{q.p_at_zero} + min(t, 1/t)",
-            p_at_zero=q.p_at_zero, p_at_infinity=q.p_at_infinity)
-        reports["equal_limits"] = prop_equal_limits(
-            couple, f, theta, q, q_wobble, grid)
-    if couple.ordered:
-        reports["theta_monotone"] = prop_theta_monotone(
-            couple, f, min(theta, 0.75) * 0.5, theta, q, grid)
-    # ordered both ways: norm0 == norm1
-    if couple.ordered and couple.reversed().ordered:
-        reports["identical_couple"] = prop_identical_couple(
-            couple.w0, f, theta, q, grid)
-    return reports
+    return PropositionReport(values, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ class HaarGrid:
     """
 
     V: int
-    samples_per_octave: int = 32
+    samples_per_octave: int
 
     def __post_init__(self):
         if self.V < 1 or self.samples_per_octave < 1:

@@ -92,6 +92,33 @@ def test_k_functional_zero_and_domain():
         k_functional(c, -1.0, np.array([1.0]))
 
 
+SCALAR_T_ENTRY_POINTS = {
+    "k_functional": lambda c, f, t: k_functional(c, t, f),
+    "j_functional": lambda c, f, t: j_functional(c, t, f),
+    "decompose": lambda c, f, t: np.concatenate(decompose(c, t, f)),
+    "k_brute_force": lambda c, f, t: k_brute_force(c, t, f),
+    "kj_inequality_check": lambda c, f, t: dataclasses.astuple(
+        kj_inequality_check(c, f, t, 4.0)),
+    "k_truncation_oracle": lambda c, f, t: k_truncation_oracle(
+        AtomFunction([3.0, 1.0], [2.0, 0.5]), t),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_T_ENTRY_POINTS))
+def test_scalar_t_accepts_numpy_scalars(entry):
+    run = SCALAR_T_ENTRY_POINTS[entry]
+    c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
+    f = np.array([1.0, -1.0])
+    expected = np.asarray(run(c, f, 2.0), dtype=float).tobytes()
+    for t in (2, np.int64(2), np.int32(2), np.float32(2.0), np.float64(2.0)):
+        assert np.asarray(run(c, f, t), dtype=float).tobytes() == expected
+    for t in ("2", [2.0], None, math.nan, math.inf, 0, -1.0,
+              np.float32(math.nan), np.float64(math.inf), np.int64(0),
+              np.float32(-1.0)):
+        with pytest.raises(DomainError):
+            run(c, f, t)
+
+
 def test_k_endpoint_limits():
     c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
     f = np.array([1.0, -1.0])

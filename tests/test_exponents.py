@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varinterp import (
-    ConfigError,
     DomainError,
     ExponentFunction,
     ExponentSyntaxError,
@@ -106,7 +105,6 @@ TWINS = [
                                              p_at_infinity=2.3),
     lambda: ExponentFunction.piecewise([0.5, 2.0], [1.5, 3.0, 2.5]),
     lambda: ExponentFunction.piecewise([0.5, 2.0], [1.5, 3.0, 2.5]).reflected(),
-    lambda: ExponentFunction.from_expression(LOG_TYPE).shifted(1.0),
 ]
 
 
@@ -129,37 +127,28 @@ def test_exponents_compare_by_value():
     assert len({table, ExponentFunction.piecewise([0.5, 2.0], [1.5, 3.0, 2.5])}) == 1
 
 
-REFLECT_SHIFT_CASES = [
+REFLECT_CASES = [
     ExponentFunction.constant(2.5),
     ExponentFunction.from_expression(LOG_TYPE, p_at_zero=1.7, p_at_infinity=2.3),
     ExponentFunction.piecewise([0.5, 2.0], [1.5, 3.0, 2.5]),
 ]
 
 
-@pytest.mark.parametrize("q", REFLECT_SHIFT_CASES)
-def test_reflected_and_shifted_match_the_closures_bit_for_bit(q):
-    # pointwise references: q at 1/t, and q plus one
+@pytest.mark.parametrize("q", REFLECT_CASES)
+def test_reflected_matches_the_closure_bit_for_bit(q):
+    # pointwise reference: q at 1/t
     def q_reflected(ts):
         return np.asarray(q(1.0 / np.asarray(ts, dtype=float)), dtype=float)
 
-    def bumped(ts):
-        return np.asarray(q(ts), dtype=float) + 1.0
-
     nodes = DEFAULT_GRID.nodes
     assert q.reflected().on_grid(DEFAULT_GRID).tobytes() == q_reflected(nodes).tobytes()
-    assert q.shifted(1.0).on_grid(DEFAULT_GRID).tobytes() == bumped(nodes).tobytes()
 
 
-@pytest.mark.parametrize("q", REFLECT_SHIFT_CASES)
-def test_reflected_and_shifted_limits(q):
+@pytest.mark.parametrize("q", REFLECT_CASES)
+def test_reflected_limits(q):
     r = q.reflected()
     assert (r.p_at_zero, r.p_at_infinity) == (q.p_at_infinity, q.p_at_zero)
-    s = q.shifted(1.0)
-    assert (s.p_at_zero, s.p_at_infinity) == (q.p_at_zero + 1.0,
-                                              q.p_at_infinity + 1.0)
-    assert r.is_constant == q.is_constant and not s.is_constant
-    with pytest.raises(ConfigError):
-        q.shifted(-0.5)
+    assert r.is_constant == q.is_constant
 
 
 def test_call_rejects_bad_arguments():

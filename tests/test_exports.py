@@ -47,3 +47,12 @@ def test_python_m_varinterp_runs_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert '"pass": true' in proc.stdout
+
+
+def test_each_exported_object_has_one_name():
+    names = {}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", []):
+            names.setdefault(id(getattr(module, attr)), set()).add(attr)
+    assert [sorted(group) for group in names.values() if len(group) > 1] == []

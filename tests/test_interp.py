@@ -26,7 +26,6 @@ from varinterp import (
     kj_equivalence_check,
     lambda_norm,
     lorentz_identification_check,
-    proposition_checks,
     reiteration_check,
 )
 from varinterp import couples, interp
@@ -267,17 +266,6 @@ def test_prop_identical_couple_closed_form():
     # the ratio does not depend on f
     rep2 = prop_identical_couple(w, np.array([0.3, 0.9]), 0.5, Q2, grid)
     assert rep2.values["ratio"] == pytest.approx(rep.values["ratio"], rel=1e-9)
-
-
-def test_proposition_checks_umbrella():
-    grid = HaarGrid(8, 16)
-    reports = proposition_checks(WS, F2, params(grid=grid))
-    assert "exponent_monotone" in reports and "reversal_symmetry" in reports
-    assert all(rep.passed for rep in reports.values())
-    ident = Couple.weighted_seq([1.0, 3.0], [1.0, 3.0])
-    reports = proposition_checks(ident, F2, params(grid=grid))
-    assert "identical_couple" in reports and "theta_monotone" in reports
-    assert all(rep.passed for rep in reports.values())
 
 
 def test_reiteration_smoke(monkeypatch):
