@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
 from .exponents import ExponentFunction
 from .rearrange import AtomFunction, rearrangement
 from .suite import CheckSuiteConfig, run_check, run_check_suite
-from .varleb import DEFAULT_GRID, HaarGrid, SampledFunction, luxemburg_norm
+from .varleb import HaarGrid, SampledFunction, luxemburg_norm
 
 __all__ = ["main", "parse_exponent"]
 
@@ -76,20 +75,6 @@ def _load_json(arg):
     return json.loads(text)
 
 
-def _parse_grid(text):
-    grid_v, grid_spo = DEFAULT_GRID.V, DEFAULT_GRID.samples_per_octave
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key == "V":
-            grid_v = int(value)
-        elif key in ("spo", "samples_per_octave"):
-            grid_spo = int(value)
-        else:
-            raise argparse.ArgumentTypeError(f"unknown grid field {key!r}")
-    return HaarGrid(grid_v, grid_spo)
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="varinterp",
@@ -101,8 +86,6 @@ def _build_parser():
                         help="exponent DSL source, e.g. '2 + 1/log(e + 1/t)'")
     p_norm.add_argument("--function", required=True,
                         help="sampled-function JSON (inline or a file path)")
-    p_norm.add_argument("--grid", type=_parse_grid, default=None,
-                        metavar="V=16,spo=32")
 
     p_kfunc = sub.add_parser("kfunc", help="K-functional values on a couple")
     p_kfunc.add_argument("--couple", required=True,
@@ -119,10 +102,8 @@ def _build_parser():
 
     p_check = sub.add_parser("check", help="run a single named check")
     p_check.add_argument("check_id")
-    p_check.add_argument("--seed", type=int, default=42)
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--grid", type=_parse_grid, default=None,
-                         metavar="V=16,spo=32")
+    p_check.add_argument("--seed", type=int, default=CheckSuiteConfig.seed)
+    p_check.add_argument("--trials", type=int, default=CheckSuiteConfig.trials)
 
     p_suite = sub.add_parser("suite", help="run a configured check suite")
     p_suite.add_argument("--config", required=True,
@@ -166,21 +147,16 @@ def _couple_from_json(data):
 def _function_from_json(data):
     """A vector [x, ...], an atom function {"atoms": [[value, mass], ...]}
     or a sampled function {"grid": {"V": v, "samples_per_octave": s},
-    "values": [...]}."""
+    "values": [...]}. A vector is returned as it is: the couple checks it."""
     if isinstance(data, list):
-        vector = [float(x) for x in data]
-        if not all(map(math.isfinite, vector)):
-            raise ConfigError("vector elements must be finite")
-        return vector
+        return data
     with _fields("function"):
         if "atoms" in data:
             pairs = [(float(v), float(m)) for v, m in data["atoms"]]
             return AtomFunction([v for v, _ in pairs], [m for _, m in pairs])
         if "values" in data:
-            grid = data["grid"]
-            return SampledFunction(
-                HaarGrid(int(grid["V"]), int(grid["samples_per_octave"])),
-                np.asarray(data["values"], dtype=float))
+            return SampledFunction(HaarGrid(**data["grid"]),
+                                   np.asarray(data["values"], dtype=float))
     raise ValueError("unrecognized function JSON: expected a vector, an "
                      "atom list, or a sampled function")
 
@@ -192,9 +168,6 @@ def _cmd_norm(args):
     if not isinstance(fn, SampledFunction):
         raise ValueError("norm expects a sampled function; use rearrange or "
                          "kfunc for atom functions and vectors")
-    if args.grid is not None and fn.grid != args.grid:
-        raise ValueError(f"--grid {args.grid.V}/{args.grid.samples_per_octave} "
-                         "does not match the grid the function was sampled on")
     value = luxemburg_norm(fn, exponent)
     json.dump({"norm": value,
                "exponent": args.exponent,
@@ -230,17 +203,13 @@ def _cmd_rearrange(args):
 
 
 def _cmd_check(args):
-    report = run_check(args.check_id, seed=args.seed, trials=args.trials,
-                       grid=args.grid)
+    report = run_check(args.check_id, seed=args.seed, trials=args.trials)
     sys.stdout.write(report.to_json())
     return 0 if report.passed else 1
 
 
 def _cmd_suite(args):
-    data = _load_json(args.config)
-    if not isinstance(data, dict):
-        raise ValueError("suite config must be a JSON object")
-    config = CheckSuiteConfig.from_json_dict(data)
+    config = CheckSuiteConfig.from_json_dict(_load_json(args.config))
     if args.out is not None:
         config = dataclasses.replace(config, output_dir=args.out)
     exit_code, reports = run_check_suite(config)

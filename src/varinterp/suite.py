@@ -20,7 +20,7 @@ import math
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -68,6 +68,7 @@ from .varleb import (
     DEFAULT_GRID,
     HaarGrid,
     SampledFunction,
+    _is_integer,
     luxemburg_norm,
     modular,
     modular_norm_sandwich,
@@ -644,7 +645,8 @@ _CHECKS = (
     _Check("luxemburg-closed-form", _luxemburg, _worst_max(limit=1e-6)),
     # worst ratio by which the norm leaves the modular-power sandwich
     _Check("modular-sandwich", _sandwich, _worst_max()),
-    # fraction of instances where norm <= 1 iff modular <= 1 (must be 1)
+    # fraction of instances where norm <= 1 iff modular <= 1 (must be 1);
+    # pass/fail only: any passing run reads 1.0, as at seeds 42 and 1729
     _Check("unit-ball", _unit_ball, _fraction),
     # worst relative disagreement between closed-form K and its oracle; it
     # is bounded by the brute-force oracle's own resolution, 1e-8, and reads
@@ -715,6 +717,11 @@ CHECK_REGISTRY = {check.id: check for check in _CHECKS}
 CHECK_IDS = tuple(CHECK_REGISTRY)
 
 
+# the suite config's JSON keys and the fields they set
+_JSON_KEYS = {"seed": "seed", "trials": "trials", "grid": "grid",
+              "checks": "checks", "output": "output_dir"}
+
+
 @dataclass(frozen=True)
 class CheckSuiteConfig:
     """Configuration of a suite run; empty checks means the full registry."""
@@ -726,37 +733,47 @@ class CheckSuiteConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for ok, field, kind in (
+                (_is_integer(self.seed), "seed", "an integer"),
+                (_is_integer(self.trials) and self.trials >= 1, "trials",
+                 "an integer >= 1"),
+                (isinstance(self.grid, HaarGrid), "grid", "a HaarGrid"),
+                (isinstance(self.checks, (list, tuple))
+                 and all(c in CHECK_IDS for c in self.checks), "checks",
+                 "a list of known check ids"),
+                (self.output_dir is None or isinstance(self.output_dir, str),
+                 "output_dir", "a path or None")):
+            if not ok:
+                raise ConfigError(
+                    f"{field} must be {kind}, not {getattr(self, field)!r}")
         object.__setattr__(self, "checks", tuple(self.checks))
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        unknown = [c for c in self.checks if c not in CHECK_REGISTRY]
-        if unknown:
-            raise ConfigError(f"unknown check ids: {', '.join(unknown)}")
 
     def selected(self):
         return self.checks or CHECK_IDS
 
     @classmethod
     def from_json_dict(cls, data):
-        grid_data = data.get("grid", {})
-        grid = HaarGrid(int(grid_data.get("V", DEFAULT_GRID.V)),
-                        int(grid_data.get("samples_per_octave",
-                                          DEFAULT_GRID.samples_per_octave)))
-        try:
-            return cls(seed=int(data.get("seed", 42)),
-                       trials=int(data.get("trials", 100)),
-                       grid=grid,
-                       checks=tuple(data.get("checks", ())),
-                       output_dir=data.get("output"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed suite config: {exc}") from exc
+        """The config a JSON object states; an absent key keeps its default,
+        and an absent grid key DEFAULT_GRID's."""
+        if not isinstance(data, dict):
+            raise ConfigError("suite config must be a JSON object")
+        unknown = [key for key in data if key not in _JSON_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown suite config keys: {', '.join(unknown)}")
+        fields = {_JSON_KEYS[key]: value for key, value in data.items()}
+        if "grid" in fields:
+            try:
+                fields["grid"] = replace(DEFAULT_GRID, **fields["grid"])
+            except TypeError as exc:
+                raise ConfigError(f"malformed suite config grid: {exc}") from exc
+        return cls(**fields)
 
 
-def run_check(check_id, *, seed=42, trials=100, grid=None):
+def run_check(check_id, *, seed=CheckSuiteConfig.seed,
+              trials=CheckSuiteConfig.trials, grid=DEFAULT_GRID):
     """Run a single check by identifier and return its CheckReport; an
     unknown identifier raises ConfigError."""
-    config = CheckSuiteConfig(seed=seed, trials=trials,
-                              grid=grid if grid is not None else DEFAULT_GRID,
+    config = CheckSuiteConfig(seed=seed, trials=trials, grid=grid,
                               checks=(check_id,))
     return CHECK_REGISTRY[check_id](config)
 

@@ -59,6 +59,11 @@ __all__ = [
 LN2 = math.log(2.0)
 
 
+def _is_integer(value):
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HaarGrid:
     """Log-uniform midpoint grid on [2^-V, 2^V].
@@ -73,8 +78,10 @@ class HaarGrid:
     samples_per_octave: int
 
     def __post_init__(self):
-        if self.V < 1 or self.samples_per_octave < 1:
-            raise ConfigError("HaarGrid needs V >= 1 and samples_per_octave >= 1")
+        if not all(_is_integer(n) and n >= 1
+                   for n in (self.V, self.samples_per_octave)):
+            raise ConfigError(
+                f"HaarGrid needs integers V, samples_per_octave >= 1: {self}")
 
     @property
     def du(self):

@@ -83,18 +83,9 @@ def test_norm_command_reads_file(tmp_path, capsys):
     _, text = sampled_json()
     path = tmp_path / "fn.json"
     path.write_text(text)
-    code = main(["norm", "--exponent", "2", "--function", str(path),
-                 "--grid", "V=4,spo=4"])
+    code = main(["norm", "--exponent", "2", "--function", str(path)])
     assert code == 0
     assert "norm" in json.loads(capsys.readouterr().out)
-
-
-def test_norm_command_grid_mismatch(capsys):
-    _, text = sampled_json()
-    code = main(["norm", "--exponent", "2", "--function", text,
-                 "--grid", "V=8,spo=4"])
-    assert code == 2
-    assert "does not match" in capsys.readouterr().err
 
 
 def test_norm_command_rejects_atoms(capsys):
@@ -165,12 +156,23 @@ def test_kfunc_command_decodes_each_couple_kind(text, couple, element, capsys):
     ["norm", "--exponent", "2", "--function", '{"values": [1.0, 2.0]}'],
     ["norm", "--exponent", "2", "--function",
      '{"grid": {"V": 1}, "values": [1.0, 2.0]}'],
+    # a grid's V and samples_per_octave are integers, not truncated floats
+    ["norm", "--exponent", "2", "--function",
+     '{"grid": {"V": 1.7, "samples_per_octave": 1}, "values": [1.0, 2.0]}'],
+    # a suite config is neither truncated nor stripped of unknown keys, and
+    # exits before its first check runs
+    *(["suite", "--config", config] for config in (
+        '{"grid": 5}', '{"grid": null}', '{"grid": {"V": 8.9}}',
+        '{"grid": {"V": 8, "spo": 8}}', '{"seed": 1.5}', '{"seed": true}',
+        '{"trials": "3"}', '{"checks": "unit-ball"}', '{"trails": 5}', '[]')),
 ])
 def test_malformed_json_exits_two(args, capsys):
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    # a list of ids, not of the characters of one id
+    assert "u, n, i, t" not in captured.err
 
 
 def test_kfunc_command_needs_t_values(capsys):
@@ -182,13 +184,15 @@ def test_kfunc_command_needs_t_values(capsys):
 
 def test_kfunc_command_rejects_non_finite_vectors(capsys):
     couple = '{"kind": "weighted_seq", "w0": [1, 2], "w1": [1, 0.5]}'
-    for vector in ("[NaN, 1]", "[Infinity, 1]", "[1, -Infinity]"):
+    # 1e400 parses as inf; the couple's own element check rejects both
+    for vector in ("[NaN, 1]", "[Infinity, 1]", "[1, -Infinity]",
+                   "[NaN, 1.0]", "[1e400, 1.0]"):
         code = main(["kfunc", "--couple", couple, "--function", vector,
                      "--t", "1"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err == "error: a vector of a vector couple must be finite\n"
 
 
 @pytest.mark.parametrize("couple, dimension", [
@@ -244,7 +248,7 @@ def test_rearrange_command_rejects_vector(capsys):
 
 
 def test_check_command(capsys):
-    code = main(["check", "rearrangement", "--trials", "3", "--grid", "V=8,spo=8"])
+    code = main(["check", "rearrangement", "--trials", "3"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["check"] == "rearrangement"

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -56,6 +57,18 @@ def test_config_rejects_unknown_check():
         CheckSuiteConfig(checks=("no-such-check",))
 
 
+@pytest.mark.parametrize("field", [
+    {"seed": 1.5}, {"seed": True}, {"seed": "1"},
+    {"trials": 2.0}, {"trials": True}, {"trials": "3"},
+    {"grid": None}, {"grid": (8, 8)},
+    {"checks": "unit-ball"}, {"checks": None}, {"checks": [["unit-ball"]]},
+    {"output_dir": 5},
+])
+def test_config_rejects_malformed_fields(field):
+    with pytest.raises(ConfigError):
+        CheckSuiteConfig(**field)
+
+
 def test_config_selected_defaults_to_registry():
     assert CheckSuiteConfig().selected() == CHECK_IDS
     subset = ("unit-ball", "rearrangement")
@@ -75,12 +88,28 @@ def test_config_from_json_dict():
     assert config.grid == HaarGrid(8, 4)
     assert config.checks == ("unit-ball",)
     assert config.output_dir == "/tmp/out"
+    assert CheckSuiteConfig.from_json_dict({}) == CheckSuiteConfig()
     assert CheckSuiteConfig.from_json_dict({}).grid == HaarGrid(16, 32)
+    # a partial grid keeps the default grid's other field
+    assert CheckSuiteConfig.from_json_dict(
+        {"grid": {"V": 8}}).grid == HaarGrid(8, 32)
+    assert CheckSuiteConfig.from_json_dict(
+        {"grid": {"samples_per_octave": 4}}).grid == HaarGrid(16, 4)
 
 
 def test_config_from_json_dict_malformed():
-    with pytest.raises(ConfigError):
-        CheckSuiteConfig.from_json_dict({"trials": "many"})
+    for data in ({"trials": "many"}, [], None, {"trails": 5},
+                 {"output_dir": "reports"}, {"grid": 5}, {"grid": None},
+                 {"grid": {"V": 8, "spo": 8}}, {"grid": {"V": 8.9}}):
+        with pytest.raises(ConfigError):
+            CheckSuiteConfig.from_json_dict(data)
+
+
+def test_run_check_takes_the_config_defaults():
+    defaults = CheckSuiteConfig()
+    parameters = inspect.signature(run_check).parameters
+    for name in ("seed", "trials", "grid"):
+        assert parameters[name].default == getattr(defaults, name)
 
 
 def test_run_check_unknown_id():

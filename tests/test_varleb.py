@@ -63,6 +63,20 @@ def test_refined_grid():
     assert grid.refined().refined() == HaarGrid(8, 64)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "8", 0, None])
+def test_grid_fields_are_integers_of_at_least_one(bad):
+    with pytest.raises(ConfigError, match="integers"):
+        HaarGrid(bad, 4)
+    with pytest.raises(ConfigError, match="integers"):
+        HaarGrid(8, bad)
+
+
+def test_grid_accepts_numpy_integers():
+    grid = HaarGrid(np.int64(8), np.int32(4))
+    assert grid == HaarGrid(8, 4)
+    assert grid.nodes.tobytes() == HaarGrid(8, 4).nodes.tobytes()
+
+
 def test_sampled_function_validation():
     grid = HaarGrid(4, 4)
     with pytest.raises(GridMismatchError):
