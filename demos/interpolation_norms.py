@@ -78,8 +78,7 @@ print(f"Lorentz identification: K-method {ident.k_method_norm:.6f}, "
 # Structural one-liners: monotonicity in the exponent, symmetry under
 # couple reversal, and equal discrete norms for exponents that share both
 # limits. Each proposition checks its own hypotheses.
-q_wobble = ExponentFunction.from_expression("2.0 + min(t, 1/t)",
-                                            p_at_zero=2.0, p_at_infinity=2.0)
+q_wobble = ExponentFunction.from_expression("2.0 + min(t, 1/t)")  # 2 at 0 and inf
 reports = {
     "exponent_monotone": prop_exponent_monotone(
         couple, f, 0.5, q2, ExponentFunction.constant(3.0), grid),

@@ -23,10 +23,10 @@ from varinterp import (
 grid = HaarGrid(16, 32)
 print(f"grid: {grid.node_count} nodes on [{grid.t_min:.3g}, {grid.t_max:.3g}]")
 
-# Exponents are written in a tiny expression language over t.
+# Exponents are written in a tiny expression language over t. Their limits
+# at 0 and infinity (here 2 and 3) are the expression evaluated there.
 q_const = ExponentFunction.constant(2.0)
-q_var = ExponentFunction.from_expression("2 + 1/log(e + 1/t)",
-                                         p_at_zero=2.0, p_at_infinity=3.0)
+q_var = ExponentFunction.from_expression("2 + 1/log(e + 1/t)")
 print(f"variable exponent at t=1e-6, 1, 1e6: "
       f"{q_var(1e-6):.4f}, {q_var(1.0):.4f}, {q_var(1e6):.4f}")
 

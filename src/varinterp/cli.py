@@ -18,8 +18,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .couples import Couple, NormSpec, k_functional
 from .errors import (
     ConfigError,
@@ -38,32 +36,21 @@ __all__ = ["main", "parse_exponent"]
 def parse_exponent(source):
     """Parse DSL source with optional ``@0=`` / ``@inf=`` limit annotations.
 
-    Annotated limits override the probed ones but are rejected when they
-    disagree with the probe by more than 0.1: an annotation documents a
-    limit, it does not get to contradict the expression.
+    The annotations are from_expression's p_at_zero and p_at_infinity: one
+    is needed only at an end where the expression is indeterminate, and
+    one at any other end must agree with the expression's limit there.
     """
     head, *annotations = source.split("@")
-    at_zero = at_infinity = None
+    limits = {}
     for ann in annotations:
         ann = ann.strip()
         if ann.startswith("0="):
-            at_zero = float(ann[2:])
+            limits["p_at_zero"] = float(ann[2:])
         elif ann.startswith("inf="):
-            at_infinity = float(ann[4:])
+            limits["p_at_infinity"] = float(ann[4:])
         else:
             raise InvalidExponentError(f"unknown annotation '@{ann}'")
-    probed = ExponentFunction.from_expression(head.strip())
-    for label, annotated, found in (("@0", at_zero, probed.p_at_zero),
-                                    ("@inf", at_infinity, probed.p_at_infinity)):
-        if annotated is not None and not abs(annotated - found) <= 0.1:
-            raise InvalidExponentError(
-                f"{label}={annotated} contradicts the probed limit {found:.6g}")
-    if at_zero is None and at_infinity is None:
-        return probed
-    return ExponentFunction.from_expression(
-        head.strip(),
-        p_at_zero=at_zero if at_zero is not None else probed.p_at_zero,
-        p_at_infinity=at_infinity if at_infinity is not None else probed.p_at_infinity)
+    return ExponentFunction.from_expression(head.strip(), **limits)
 
 
 def _load_json(arg):
@@ -126,13 +113,24 @@ def _fields(what):
         raise ConfigError(f"malformed {what} JSON: {exc}") from exc
 
 
+def _numbers(values):
+    """values, a JSON list, if each is an int, a float or "inf" (a norm's p
+    takes it, finite fields reject it), not a bool or another string."""
+    for x in values:
+        if type(x) not in (int, float) and x != "inf":
+            raise TypeError(f"{json.dumps(x)} is not a JSON number")
+    return values
+
+
 # the couple JSON of each "kind"; a finite_generic norm is
 # {"p": a number >= 1 or "inf", "weights": [...]}
 _COUPLES = {
-    "weighted_seq": lambda d: Couple.weighted_seq(d["w0"], d["w1"]),
+    "weighted_seq": lambda d: Couple.weighted_seq(_numbers(d["w0"]),
+                                                  _numbers(d["w1"])),
     "l1_linf": lambda d: Couple.l1_linf(),
-    "finite_generic": lambda d: Couple.finite_generic(
-        *(NormSpec(d[key]["p"], d[key]["weights"]) for key in ("norm0", "norm1"))),
+    "finite_generic": lambda d: Couple.finite_generic(*(
+        NormSpec(*_numbers([d[key]["p"]]), _numbers(d[key]["weights"]))
+        for key in ("norm0", "norm1"))),
 }
 
 
@@ -147,24 +145,24 @@ def _couple_from_json(data):
 def _function_from_json(data):
     """A vector [x, ...], an atom function {"atoms": [[value, mass], ...]}
     or a sampled function {"grid": {"V": v, "samples_per_octave": s},
-    "values": [...]}. A vector is returned as it is: the couple checks it."""
-    if isinstance(data, list):
-        return data
+    "values": [...]}. A vector's length and finiteness are the couple's to
+    check."""
     with _fields("function"):
+        if isinstance(data, list):
+            return _numbers(data)
         if "atoms" in data:
-            pairs = [(float(v), float(m)) for v, m in data["atoms"]]
+            pairs = [_numbers(pair) for pair in data["atoms"]]
             return AtomFunction([v for v, _ in pairs], [m for _, m in pairs])
         if "values" in data:
             return SampledFunction(HaarGrid(**data["grid"]),
-                                   np.asarray(data["values"], dtype=float))
+                                   _numbers(data["values"]))
     raise ValueError("unrecognized function JSON: expected a vector, an "
                      "atom list, or a sampled function")
 
 
 def _cmd_norm(args):
     exponent = parse_exponent(args.exponent)
-    data = _load_json(args.function)
-    fn = _function_from_json(data)
+    fn = _function_from_json(_load_json(args.function))
     if not isinstance(fn, SampledFunction):
         raise ValueError("norm expects a sampled function; use rearrange or "
                          "kfunc for atom functions and vectors")

@@ -17,6 +17,7 @@ All logarithms are natural logarithms.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -30,9 +31,6 @@ from .errors import (
 )
 
 __all__ = ["ExponentFunction"]
-
-PROBE_ZERO = 1e-12
-PROBE_INFINITY = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +131,7 @@ class _Parser:
             if value == "t":
                 return ("t",)
             if value == "e":
-                return ("e",)
+                return ("num", math.e)
             if value in _FUNCTIONS:
                 self.expect_op("(")
                 first = self.expr()
@@ -178,36 +176,25 @@ def evaluate_expression(tree, t):
         return _eval(tree, t)
 
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "min": np.minimum, "max": np.maximum,
+        "log": np.log, "exp": np.exp, "logb": lambda a, b: np.log(a) / np.log(b)}
+
+
 def _eval(tree, t):
     head = tree[0]
     if head == "num":
         return np.full_like(t, tree[1])
     if head == "t":
         return t.copy()
-    if head == "e":
-        return np.full_like(t, math.e)
-    if head == "+":
-        return _eval(tree[1], t) + _eval(tree[2], t)
-    if head == "-":
-        return _eval(tree[1], t) - _eval(tree[2], t)
-    if head == "*":
-        return _eval(tree[1], t) * _eval(tree[2], t)
-    if head == "/":
-        return _eval(tree[1], t) / _eval(tree[2], t)
-    if head == "log":
-        return np.log(_eval(tree[1], t))
-    if head == "logb":
-        return np.log(_eval(tree[1], t)) / np.log(_eval(tree[2], t))
-    if head == "exp":
-        return np.exp(_eval(tree[1], t))
-    if head == "min":
-        return np.minimum(_eval(tree[1], t), _eval(tree[2], t))
-    if head == "max":
-        return np.maximum(_eval(tree[1], t), _eval(tree[2], t))
     if head == "table":
         return np.asarray(tree[3])[np.searchsorted(tree[2], _eval(tree[1], t),
                                                    side="right")]
-    raise ConfigError(f"unknown expression node {head!r}")
+    if head not in _OPS:
+        raise ConfigError(f"unknown expression node {head!r}")
+    if len(tree) == 2:
+        return _OPS[head](_eval(tree[1], t))
+    return _OPS[head](_eval(tree[1], t), _eval(tree[2], t))
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +231,17 @@ class ExponentFunction:
     def from_expression(cls, source, p_at_zero=None, p_at_infinity=None):
         """Build an exponent from DSL source.
 
-        Missing limits are probed at t = 1e-12 and t = 1e12. A limit, given
-        or probed, must be finite and >= 1 - 1e-12 and is clamped at 1, as
-        exponent values are. Source that is a bare number collapses to a
-        constant exponent.
+        The limits p(0) and p_inf are the tree at t = 0 and t = inf in IEEE
+        arithmetic (1/0 = inf, log(inf) = inf). Where that is NaN, an
+        indeterminate form such as t/(1 + t) at inf, the limit must be given;
+        elsewhere a given limit must agree with it to 1e-12 relative. A limit
+        must be finite and >= 1 - 1e-12 and is clamped at 1, as exponent
+        values are. Source that is a bare number is a constant exponent.
         """
         tree = parse_expression(source)
-        if tree[0] == "num":
-            return cls.constant(tree[1])
-        if p_at_zero is None:
-            p_at_zero = evaluate_expression(tree, PROBE_ZERO)
-        if p_at_infinity is None:
-            p_at_infinity = evaluate_expression(tree, PROBE_INFINITY)
-        p_zero, p_inf = _checked(np.array([p_at_zero, p_at_infinity], dtype=float),
-                                 "the limit p(0) or p_inf")
-        return cls(float(p_zero), float(p_inf), tree)
+        ends = evaluate_expression(tree, np.array([0.0, np.inf])).tolist()
+        return cls(_limit(ends[0], p_at_zero, "p_at_zero", "@0"),
+                   _limit(ends[1], p_at_infinity, "p_at_infinity", "@inf"), tree)
 
     @classmethod
     def piecewise(cls, breakpoints, values):
@@ -316,11 +299,25 @@ def _reflect(tree):
     head = tree[0]
     if head == "t":
         return ("/", ("num", 1.0), ("t",))
-    if head in ("num", "e"):
+    if head == "num":
         return tree
     if head == "table":
         return (head, _reflect(tree[1]), *tree[2:])
     return (head, *map(_reflect, tree[1:]))
+
+
+def _limit(end, given, name, annotation):
+    """The limit at an end where the tree evaluates to end; see from_expression."""
+    if math.isnan(end):
+        if given is None:
+            raise InvalidExponentError(
+                f"{name} is indeterminate: the expression is NaN at this "
+                f"end; pass {name}= ({annotation}= on the command line)")
+        end = float(given)
+    elif given is not None and not abs(float(given) - end) <= 1e-12 * abs(end):
+        raise InvalidExponentError(f"given {name}={given} contradicts the "
+                                   f"expression's limit {end!r}")
+    return float(_checked(np.array([end]), f"the limit {name}")[0])
 
 
 def _checked(values, name):

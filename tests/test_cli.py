@@ -33,10 +33,10 @@ def sampled_json():
 
 
 def test_parse_exponent_plain():
-    # limits come from probes at t = 1e-12 and t = 1e12
+    # the limits are the expression at t = 0 and t = inf
     p = parse_exponent("2 + 1/log(e + 1/t)")
-    assert p.p_at_zero == pytest.approx(2.0, abs=0.05)
-    assert p.p_at_infinity == pytest.approx(3.0, abs=0.05)
+    assert p.p_at_zero == 2.0
+    assert p.p_at_infinity == 3.0
 
 
 def test_parse_exponent_annotations_override():
@@ -53,15 +53,32 @@ def test_parse_exponent_rejects_contradiction():
 
 
 def test_parse_exponent_rejects_limits_below_one(capsys):
-    # within 0.1 of the probed limit 1, but not an exponent's limit
-    with pytest.raises(InvalidExponentError):
-        parse_exponent("1 + t @0=0.95")
-    with pytest.raises(InvalidExponentError):
-        parse_exponent("2 + t @0=nan")
+    # 2 - t/(1 + t) is inf/inf at t = inf, so @inf= gives its limit, which
+    # must still be an exponent's limit
+    with pytest.raises(InvalidExponentError, match="p_at_infinity is below 1"):
+        parse_exponent("2 - t/(1 + t) @inf=0.95")
+    with pytest.raises(InvalidExponentError, match="p_at_infinity is not finite"):
+        parse_exponent("2 - t/(1 + t) @inf=nan")
     _, text = sampled_json()
-    code = main(["norm", "--exponent", "1 + t @0=0.95", "--function", text])
+    code = main(["norm", "--exponent", "2 - t/(1 + t) @inf=0.95",
+                 "--function", text])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_norm_command_needs_a_limit_at_an_indeterminate_end(capsys):
+    fn, text = sampled_json()
+    code = main(["norm", "--exponent", "2 + t/(1 + t)", "--function", text])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: p_at_infinity is indeterminate")
+    assert "@inf=" in captured.err
+    code = main(["norm", "--exponent", "2 + t/(1 + t) @inf=3", "--function", text])
+    assert code == 0
+    want = luxemburg_norm(fn, ExponentFunction.from_expression(
+        "2 + t/(1 + t)", p_at_infinity=3.0))
+    assert json.loads(capsys.readouterr().out)["norm"] == want
 
 
 def test_parse_exponent_rejects_unknown_annotation():
@@ -165,6 +182,24 @@ def test_kfunc_command_decodes_each_couple_kind(text, couple, element, capsys):
         '{"grid": 5}', '{"grid": null}', '{"grid": {"V": 8.9}}',
         '{"grid": {"V": 8, "spo": 8}}', '{"seed": 1.5}', '{"seed": true}',
         '{"trials": "3"}', '{"checks": "unit-ball"}', '{"trails": 5}', '[]')),
+    # a number is a JSON number: float() and numpy would take a bool or a
+    # string for one
+    ["rearrange", "--function", '{"atoms": [["3.0", "2.0"], [true, 1]]}'],
+    ["norm", "--exponent", "2", "--function",
+     '{"grid": {"V": 1, "samples_per_octave": 1}, "values": [true, "2"]}'],
+    ["kfunc", "--couple", '{"kind": "weighted_seq", "w0": [1, 1], "w1": [1, 2]}',
+     "--function", '[true, "2"]', "--t", "1"],
+    ["kfunc", "--couple", '{"kind": "weighted_seq", "w0": [true, "2"], '
+     '"w1": [1, 2]}', "--function", "[1, 2]", "--t", "1"],
+    ["kfunc", "--couple", '{"kind": "finite_generic", "norm0": {"p": "2", '
+     '"weights": [1]}, "norm1": {"p": "inf", "weights": [2]}}',
+     "--function", "[1]", "--t", "1"],
+    ["kfunc", "--couple", '{"kind": "finite_generic", "norm0": {"p": true, '
+     '"weights": [1]}, "norm1": {"p": "inf", "weights": [2]}}',
+     "--function", "[1]", "--t", "1"],
+    ["kfunc", "--couple", '{"kind": "finite_generic", "norm0": {"p": 2, '
+     '"weights": [1]}, "norm1": {"p": "inf", "weights": ["2"]}}',
+     "--function", "[1]", "--t", "1"],
 ])
 def test_malformed_json_exits_two(args, capsys):
     assert main(args) == 2

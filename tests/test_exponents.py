@@ -38,16 +38,99 @@ def test_constant_must_be_at_least_one():
 def test_log_perturbed_expression_values():
     p = ExponentFunction.from_expression("2 + 1/log(e + 1/t)")
     assert p(1.0) == pytest.approx(2.0 + 1.0 / math.log(math.e + 1.0), rel=1e-15)
-    # probed limits: the probe points stand in for t -> 0 and t -> inf
-    assert p.p_at_zero == pytest.approx(2.0 + 1.0 / math.log(math.e + 1e12))
-    assert p.p_at_infinity == pytest.approx(2.0 + 1.0 / math.log(math.e + 1e-12))
+    # the limits are the tree at t = 0 and t = inf: 2 + 1/log(inf) and
+    # 2 + 1/log(e), exactly
+    assert (p.p_at_zero, p.p_at_infinity) == (2.0, 3.0)
 
 
-def test_explicit_limits_override_probes():
+def test_given_limits_agree_with_the_expression():
     p = ExponentFunction.from_expression("2 + 1/log(e + 1/t)",
                                          p_at_zero=2.0, p_at_infinity=3.0)
-    assert p.p_at_zero == 2.0
-    assert p.p_at_infinity == 3.0
+    assert (p.p_at_zero, p.p_at_infinity) == (2.0, 3.0)
+    # within 1e-12 relative of the expression's limit, which is kept
+    p = ExponentFunction.from_expression("2 + 1/log(e + 1/t)",
+                                         p_at_zero=2.0 + 1e-12,
+                                         p_at_infinity=3.0 - 2e-12)
+    assert (p.p_at_zero, p.p_at_infinity) == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("source, limits", [
+    ("2 + 1/log(e + 1/t)", (2.0, 3.0)),
+    # nears 2 only linearly at both ends, so no finite sample point gives 2
+    ("2 + min(t, 1/t)", (2.0, 2.0)),
+    ("max(2, 3*min(t, 1/t))", (2.0, 2.0)),
+    ("1 + exp(0 - t)", (2.0, 1.0)),
+    ("2 + log(e, e + t)", (3.0, 2.0)),
+])
+def test_limits_are_the_tree_at_zero_and_infinity(source, limits):
+    p = ExponentFunction.from_expression(source)
+    assert (p.p_at_zero, p.p_at_infinity) == limits
+
+
+@pytest.mark.parametrize("source, given, name", [
+    ("1 + t", {}, "p_at_infinity"),
+    ("1 + 1/t", {"p_at_zero": 2.0}, "p_at_zero"),
+    ("2 + log(t)", {}, "p_at_zero"),
+])
+def test_unbounded_end_rejected(source, given, name):
+    with pytest.raises(InvalidExponentError,
+                       match=f"the limit {name} is not finite"):
+        ExponentFunction.from_expression(source, **given)
+
+
+def test_indeterminate_end_needs_its_limit():
+    with pytest.raises(InvalidExponentError,
+                       match=r"p_at_infinity is indeterminate.*@inf="):
+        ExponentFunction.from_expression("2 + t/(1 + t)")
+    with pytest.raises(InvalidExponentError,
+                       match=r"p_at_zero is indeterminate.*@0="):
+        ExponentFunction.from_expression("2 + (1/t)/(1 + 1/t)")
+    p = ExponentFunction.from_expression("2 + t/(1 + t)", p_at_infinity=3.0)
+    assert (p.p_at_zero, p.p_at_infinity) == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("source, given, name", [
+    ("2", {"p_at_infinity": 3.5}, "p_at_infinity"),
+    ("2", {"p_at_zero": 1.0}, "p_at_zero"),
+    ("2 + 1/log(e + 1/t)", {"p_at_zero": 2.5}, "p_at_zero"),
+    ("2 + 1/log(e + 1/t)", {"p_at_infinity": 3.0 + 1e-11}, "p_at_infinity"),
+    ("2 + 1/log(e + 1/t)", {"p_at_infinity": math.nan}, "p_at_infinity"),
+])
+def test_given_limit_must_agree_with_the_expression(source, given, name):
+    with pytest.raises(InvalidExponentError, match=f"given {name}="):
+        ExponentFunction.from_expression(source, **given)
+
+
+# every variable-exponent family built by the suite, the demos, README,
+# perfbench and the tests, with the limits they were given by hand
+HAND_GIVEN = [
+    ("{c} + {d}/log(e + 1/t)", lambda c, d: (c, c + d)),
+    ("{c} + {d}*min(t, 1/t)", lambda c, d: (c, c)),
+    ("{c} + {d}*(t/(1 + t))", lambda c, d: (c, None)),
+]
+
+
+@pytest.mark.parametrize("family, limits", HAND_GIVEN,
+                         ids=["log", "min", "ratio"])
+def test_evaluated_limits_equal_the_hand_given_ones(family, limits):
+    # the suite's draws of (c, d), and the fixed ones of the demos and tests
+    rng = np.random.default_rng(2017)
+    draws = [(float(rng.uniform(1.2, 4.0)), float(rng.uniform(0.3, 1.2)))
+             for _ in range(500)]
+    draws += [(2.0, 1.0), (1.5, 1.0), (1.8, 0.7), (1.5, 0.5), (1.7, 0.6),
+              (2.0, 0.5), (1.5, 0.8), (2.0, 0.75)]
+    for c, d in draws:
+        source = family.format(c=c, d=d)
+        p_zero, p_inf = limits(c, d)
+        if p_inf is None:
+            # t/(1 + t) is inf/inf at t = inf: the limit c + d is given
+            with pytest.raises(InvalidExponentError, match="indeterminate"):
+                ExponentFunction.from_expression(source)
+            p_inf = c + d
+            p = ExponentFunction.from_expression(source, p_at_infinity=p_inf)
+        else:
+            p = ExponentFunction.from_expression(source)
+        assert (p.p_at_zero, p.p_at_infinity) == (p_zero, p_inf), source
 
 
 def test_bare_number_collapses_to_constant():
@@ -161,24 +244,33 @@ def test_call_rejects_bad_arguments():
         p(math.inf)
 
 
+# bounded, but 0 * NaN at t = 0 and NaN * 0 at t = inf: both limits are given
+BOTH_INDETERMINATE = "2 + (t/(1 + t))*((1/t)/(1 + 1/t))"
+
+
 @pytest.mark.parametrize("limits", [
     {"p_at_zero": 0.95}, {"p_at_infinity": 0.5},
     {"p_at_zero": math.nan}, {"p_at_infinity": math.inf},
     {"p_at_zero": -math.inf},
 ])
 def test_given_limits_checked_as_probed_ones(limits):
-    with pytest.raises(InvalidExponentError):
-        ExponentFunction.from_expression("2 + t", **limits)
+    # checked as evaluated limits are: finite and >= 1 - 1e-12
+    (name,) = limits
+    with pytest.raises(InvalidExponentError, match=f"the limit {name} is"):
+        ExponentFunction.from_expression(
+            BOTH_INDETERMINATE, **{"p_at_zero": 2.0, "p_at_infinity": 2.0, **limits})
 
 
 def test_given_limit_clamped_at_one():
-    p = ExponentFunction.from_expression("1 + t", p_at_zero=1.0 - 1e-13)
-    assert p.p_at_zero == 1.0
+    # 2 - t/(1 + t) tends to 1 at infinity, where it is inf/inf
+    p = ExponentFunction.from_expression("2 - t/(1 + t)",
+                                         p_at_infinity=1.0 - 1e-13)
+    assert p.p_at_infinity == 1.0
 
 
 def test_expression_below_one_rejected_at_call():
-    p = ExponentFunction.from_expression("1 - min(t, 1/t)",
-                                         p_at_zero=1.0, p_at_infinity=1.0)
+    p = ExponentFunction.from_expression("1 - min(t, 1/t)")
+    assert (p.p_at_zero, p.p_at_infinity) == (1.0, 1.0)
     with pytest.raises(InvalidExponentError):
         p(1.0)
 
@@ -190,7 +282,7 @@ def test_parse_exponent_annotations():
 
 
 def test_parse_exponent_rejects_contradicting_annotation():
-    with pytest.raises(InvalidExponentError):
+    with pytest.raises(InvalidExponentError, match="given p_at_zero=2.5"):
         parse_exponent("2 + 1/log(e + 1/t) @0=2.5")
 
 

@@ -248,6 +248,15 @@ def test_prop_equal_limits_discrete_exact():
     assert rep.values["continuous_a"] != rep.values["continuous_b"]
 
 
+def test_prop_equal_limits_takes_evaluated_limits():
+    # 2 + min(t, 1/t) tends to 2 at both ends linearly; its limits are
+    # exactly 2.0, so it shares both limits with the constant 2
+    q = ExponentFunction.from_expression("2 + min(t, 1/t)")
+    rep = prop_equal_limits(WS, F2, 0.5, Q2, q, grid=GRID)
+    assert rep.passed
+    assert rep.values["discrete_a"] == rep.values["discrete_b"]
+
+
 def test_prop_theta_monotone_ordered_couple():
     ordered = Couple.weighted_seq([1.0, 2.0], [2.0, 8.0])
     rep = prop_theta_monotone(ordered, F2, 0.3, 0.7, Q2, GRID)

@@ -288,9 +288,9 @@ def test_constant_exponent_closed_form_matches_bisection(values, qv, zeros):
 
 def _min_max_exponent(a, c, shape):
     # a + c * min(t, 1/t), like 2 + 0.5*min(t, 1/t), or max(a, c * min(t, 1/t));
-    # both tend to a at 0 and at infinity
+    # both tend to the rendered a at 0 and at infinity
     source = shape.format(a=f"{a:.6f}", c=f"{c:.6f}")
-    return ExponentFunction.from_expression(source, p_at_zero=a, p_at_infinity=a)
+    return ExponentFunction.from_expression(source)
 
 
 # variable exponents on SMALL (t in [1/4, 4]): piecewise tables with cell
