@@ -40,7 +40,10 @@ Starts that agree, bit for bit, on the other coordinates and the bracket
 share one search. After the first sweep a line search scans a narrow
 bracket around each start's current value, and the whole box only for the
 starts whose minimizer may lie outside that bracket. A sweep that moves none
-of a start's coordinates stops that start.
+of a start's coordinates stops that start, and a lower bound within
+resolution of the best value (Couple.dual_lower) stops the search; only
+reiteration's derived couple has one, as a weighted couple's would be the
+closed form under test.
 """
 
 from __future__ import annotations
@@ -163,6 +166,11 @@ class Couple:
 
     def cost_many(self, G, f, t):
         return self.norm0_many(G, f) + t * self.norm1_many(f - G, f)
+
+    def dual_lower(self, t, f, G):
+        """A lower bound for K(t, f) from the splits f = g + (f - g), g a
+        row of G; -inf, no bound, unless a couple overrides it."""
+        return -math.inf
 
     def operator_norms(self, matrix):
         """The exact norms of a matrix on A0 and on A1."""
@@ -363,6 +371,7 @@ class BruteForceResult:
     minimizer: np.ndarray
     evaluations: int
     cap_hit: bool
+    lower: float
 
 
 # points per round of the bracket scan: 16 intervals, so that the two
@@ -431,12 +440,17 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
     repeat it, with the same brackets, points and values. After the cold
     first sweep it is not: every coordinate already beats its scan of the
     whole box, but the warm sweep skipped may still move the start
-    slightly, and the value in its last bit. evaluations counts the rows
-    actually evaluated: every start once, then the trial points of each
-    distinct search. The budget of 100,000 evaluations applies to that
-    count, is shared by the starts, and a breach is reported as cap_hit,
-    not hidden. f must be a finite vector of the couple's dimension.
+    slightly, and the value in its last bit. All starts stop at once when
+    best - lower <= resolution best, lower the largest couple.dual_lower on
+    the starts and after each sweep on the active starts; -inf, no bound,
+    leaves every path and bit as it is. evaluations counts the objective's
+    rows: every start once, then the trial points of each distinct search.
+    The budget of 100,000 evaluations applies to that count, is shared by
+    the starts, and a breach is reported as cap_hit, not hidden. resolution
+    must lie in (0, 1) and f be a finite vector of the couple's dimension.
     """
+    if not 0.0 < resolution < 1.0:
+        raise ConfigError("resolution must be a number in (0, 1)")
     t = _checked_t(t)
     if not couple.is_vector_couple:
         raise ConfigError("brute-force K needs a finite-dimensional couple")
@@ -448,7 +462,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
         rng = np.random.default_rng(0)
 
     if not np.any(f != 0.0):
-        result = BruteForceResult(0.0, np.zeros(n), 1, False)
+        result = BruteForceResult(0.0, np.zeros(n), 1, False, -math.inf)
         return result if return_details else result.value
 
     scale = float(np.max(np.abs(f)))
@@ -494,10 +508,13 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
         return x[search], fx[search], escaped[search]
 
     value = objective(g)
+    lower = couple.dual_lower(t, f, g)
     active = np.arange(len(g))
     stalls = np.zeros(len(g), dtype=int)
     cap_hit = False
     for sweep in range(80):
+        if value.min() - lower <= resolution * value.min():
+            break
         if evals > 100_000:
             cap_hit = True
             break
@@ -518,6 +535,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
             better = fx <= value[active]
             g[active[better], k] = x[better]
             value[active[better]] = fx[better]
+        lower = max(lower, couple.dual_lower(t, f, g[active]))
         now = value[active]
         stalled = prev - now <= resolution * np.maximum(np.abs(now), 1e-300)
         stalls[active] = np.where(stalled, stalls[active] + 1, 0)
@@ -529,7 +547,7 @@ def k_brute_force(couple, t, f, *, resolution=1e-8, n_random_starts=8,
             break
 
     best = int(np.argmin(value))
-    result = BruteForceResult(float(value[best]), g[best].copy(), evals, cap_hit)
+    result = BruteForceResult(float(value[best]), g[best].copy(), evals, cap_hit, lower)
     return result if return_details else result.value
 
 

@@ -456,7 +456,8 @@ class _KMethodCouple(Couple):
     Both norms N_i(g) are Luxemburg norms of |g| @ kernel_i with a positive
     kernel, so K(t, f) has two bounds in closed form (corner_bounds): the
     best corner g = S f, S a subset of the coordinates, bounds it from
-    above, and K-J duality (Bergh-Lofstrom, section 3.7) from below.
+    above, and K-J duality (Bergh-Lofstrom, section 3.7) from below; the
+    same bound at a search's splits (dual_lower) certifies its stop.
     outer_k searches only the t whose bounds are further apart than the
     search's own resolution, relatively; every other t takes the best
     corner's value and the corner as its minimizer. outer_k is this
@@ -494,14 +495,7 @@ class _KMethodCouple(Couple):
         in cost_many (a product of one row may differ in the last bit), so
         at g = 0 and g = f upper(t) has the bits of the search's starts.
 
-        lower(t) comes from duality. The gradient phi of a Luxemburg norm N
-        at b != 0, phi_j = q_j tau_j / b_j / (sum_i q_i tau_i / N) with
-        tau_i = du (b_i / N)^{q_i}, lies in the dual unit ball, as does 0.
-        On every split f = g + (f - g) it bounds N_i(g) from below by
-        sum_k |g_k| (kernel_i phi)_k, and so K(t, f) by
-        sum_k |f_k| min(a_k, t b_k), a = kernel0 phi0 and b = kernel1 phi1.
-        lower(t) is the largest such sum over the gradients at every row
-        S |f| @ kernel_i, phi0 and phi1 taken at any two rows.
+        lower(t) is _dual_lower at every row S |f| @ kernel_i.
         """
         n = len(f)
         keep = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1
@@ -513,7 +507,25 @@ class _KMethodCouple(Couple):
         best = costs.argmin(axis=1)
         upper = costs[np.arange(len(ts)), best]
         corners = np.where(keep[best], f, 0.0)
+        return upper, corners, self._dual_lower(ts, f, bases, norms)
 
+    def dual_lower(self, t, f, G):
+        """_dual_lower at t from the rows |g| and |f - g|, g in G."""
+        bases = [np.abs(G) @ self.kernels[0], np.abs(f - G) @ self.kernels[1]]
+        norms = weighted_power_norm(np.concatenate(bases), self.q_values, self.du)
+        return float(self._dual_lower(np.array([t]), f, bases,
+                                      np.split(norms, 2))[0])
+
+    def _dual_lower(self, ts, f, bases, norms):
+        """Lower bounds for K(t, f) at every t of ts by duality, from rows
+        b of bases[i], kernel images of norm norms[i] under N_i. The
+        gradient phi of a Luxemburg norm N at b != 0, phi_j = q_j tau_j / b_j
+        / (sum_i q_i tau_i / N) with tau_i = du (b_i / N)^{q_i}, lies in the
+        dual unit ball, as does 0. On every split f = g + (f - g) it bounds
+        N_i(g) from below by sum_k |g_k| (kernel_i phi)_k, and so K(t, f) by
+        sum_k |f_k| min(a_k, t b_k), a = kernel0 phi0 and b = kernel1 phi1.
+        The bound is the largest such sum, phi_i taken at any row of bases[i].
+        """
         q = self.q_values
         duals = []
         for kernel, b, norm in zip(self.kernels, bases, norms):
@@ -530,16 +542,15 @@ class _KMethodCouple(Couple):
         sums = (np.abs(f) * np.minimum(a[None, :, None, :],
                                        ts[:, None, None, None] * b[None, None])
                 ).sum(axis=-1)
-        lower = sums.max(axis=(1, 2))
-        return upper, corners, lower
+        return sums.max(axis=(1, 2))
 
     def outer_k(self, ts, f, resolution):
         """(values, minimizers, flags): K(t, f) at every t of ts, searched
         by k_brute_force (one random start) only at the t with
         upper(t) - lower(t) > resolution upper(t) (see corner_bounds);
         every other t takes upper(t) and its corner. flags marks a search
-        that hit its evaluation cap or ended below lower(t) (1 - 1e-9): the
-        search or the bound is then wrong."""
+        that hit its evaluation cap or ended below max(lower(t), its own
+        lower) (1 - 1e-9): the search or a bound is then wrong."""
         values, minimizers, lower = self.corner_bounds(ts, f)
         flags = np.zeros(len(ts), dtype=bool)
         for j in np.flatnonzero(values - lower > resolution * values):
@@ -549,7 +560,7 @@ class _KMethodCouple(Couple):
                                         resolution=resolution,
                                         n_random_starts=1, return_details=True)
             values[j], minimizers[j] = res.value, res.minimizer
-            flags[j] = res.cap_hit or res.value < lower[j] * (1.0 - 1e-9)
+            flags[j] = res.cap_hit or res.value < max(lower[j], res.lower) * (1.0 - 1e-9)
         return values, minimizers, flags
 
 
@@ -578,9 +589,10 @@ def reiteration_check(couple, f, theta0, theta1, eta, q, *, inner_grid,
     f = couple.checked(f)
     if len(f) > 4:
         raise CapacityError("reiteration supports dimension <= 4")
-    if not 0.0 < eta < 1.0 or not 0.0 < theta0 < theta1 < 1.0 or outer_V < 1:
-        raise ConfigError("need 0 < theta0 < theta1 < 1, eta in (0, 1) "
-                          "and outer_V >= 1")
+    if (not 0.0 < eta < 1.0 or not 0.0 < theta0 < theta1 < 1.0
+            or outer_V < 1 or not 0.0 < resolution < 1.0):
+        raise ConfigError("need 0 < theta0 < theta1 < 1, eta and resolution "
+                          "in (0, 1) and outer_V >= 1")
     if base_grid is None:
         base_grid = DEFAULT_GRID
     theta = (1.0 - eta) * theta0 + eta * theta1

@@ -513,7 +513,9 @@ def pinned_problems():
 
 # value, minimizer and evaluation count of each pinned problem, recorded
 # before the derived couple solved both its norms in one call and before a
-# sweep that moves nothing stopped its start
+# sweep that moves nothing stopped its start; the derived problem's last
+# minimizer coordinate was -0x1.0000000000000p-72 before its search stopped
+# on the couple's dual bound, with the same value bits
 PINNED = [
     ("0x1.78de3c2d9e4d1p+0",
      ["-0x1.27dc67cb4ee70p-3", "0x1.2bc2d14cc5000p-31"], 2442),
@@ -531,7 +533,7 @@ PINNED = [
      ["-0x1.b7248c2174afep-17", "-0x1.2e30332b6931cp-1",
       "0x1.ceb681fed2600p-33"], 7865),
     ("0x1.377fad73b0a1dp+3",
-     ["0x1.f553b8984ae27p+0", "-0x1.816485fd65162p-1", "-0x1.0000000000000p-72"],
+     ["0x1.f553b8984ae27p+0", "-0x1.816485fd65162p-1", "0x0.0p+0"],
      4153),
 ]
 
@@ -544,6 +546,23 @@ def test_brute_force_keeps_its_pinned_bits():
         assert [x.hex() for x in res.minimizer] == minimizer
         assert res.evaluations <= evaluations
         assert not res.cap_hit
+        if isinstance(c, _KMethodCouple):
+            # the search stopped on its dual bound
+            assert res.value - res.lower <= kwargs["resolution"] * res.value
+        else:
+            assert res.lower == -math.inf
+
+
+@pytest.mark.parametrize("resolution", [math.nan, math.inf, 0.0, -1.0, 1.0])
+def test_brute_force_rejects_a_resolution_outside_zero_one(resolution,
+                                                           monkeypatch):
+    # a nan resolution made the bracket scan's stop test never hold
+    c = Couple.weighted_seq([1.0, 2.0], [3.0, 0.5])
+    calls = []
+    monkeypatch.setattr(c, "cost_many", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match=r"^resolution must be a number in \(0, 1\)$"):
+        k_brute_force(c, 1.0, [1.0, -2.0], resolution=resolution)
+    assert calls == []
 
 
 def test_brute_force_rejects_non_finite_vectors():

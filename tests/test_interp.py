@@ -334,8 +334,15 @@ def test_reiteration_fails_when_brute_force_ends_below_the_duality_bound(
         result = real(*args, **kwargs)
         return dataclasses.replace(result, value=0.99 * result.value)
 
+    def below_own(*args, **kwargs):
+        # above the corner bound at t = 1, below the search's own
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, value=result.lower * (1.0 - 1e-8))
+
     assert run().passed
     monkeypatch.setattr(couples, "k_brute_force", low)
+    assert not run().passed
+    monkeypatch.setattr(couples, "k_brute_force", below_own)
     assert not run().passed
 
 
@@ -361,7 +368,8 @@ def reiteration_by_per_t_loop(calls, couple, f, theta0, theta1, eta, q, *,
     """(outer_norm, constant, refined_constant) of reiteration_check, with
     its outer K computed at each t as the best corner g = S f where the
     derived couple's duality bound closes within resolution, and by one
-    k_brute_force call elsewhere; calls records each call's t and result."""
+    k_brute_force call, with the derived couple's dual_lower, elsewhere;
+    calls records each call's t and result."""
     theta = (1.0 - eta) * theta0 + eta * theta1
 
     def outer_norm_on(grid_in):
@@ -374,9 +382,11 @@ def reiteration_by_per_t_loop(calls, couple, f, theta0, theta1, eta, q, *,
                                for theta_i in (theta0, theta1)],
                               q_values, grid_in.du)
         outer_ts = 2.0 ** np.arange(-outer_V, outer_V + 1)
-        lower = interp._KMethodCouple(couple, grid_in, q_values,
-                                      (theta0, theta1)).corner_bounds(
-                                          outer_ts, f)[2]
+        bounds = interp._KMethodCouple(couple, grid_in, q_values,
+                                       (theta0, theta1))
+        lower = bounds.corner_bounds(outer_ts, f)[2]
+        # the searches stop on the derived couple's dual bound, as there
+        derived.dual_lower = bounds.dual_lower
         # every corner g = S f, one batch of rows
         corners = np.array([[f[k] if s >> k & 1 else 0.0 for k in range(len(f))]
                             for s in range(2 ** len(f))])
@@ -435,18 +445,24 @@ def test_reiteration_matches_a_per_t_brute_force_loop_bit_for_bit(q, monkeypatch
 # the outer K's values at t = 2^-3..2^3 in two reiteration draws (a
 # constant and a variable exponent), recorded before the derived couple
 # solved both its norms in one call, before a sweep that moves nothing
-# stopped its start and before certified corners skipped the search
+# stopped its start and before certified corners skipped the search; the
+# search at t = 1 of the second draw stops on its dual bound
 REITERATION_ALPHAS = [
     ["0x1.d5831cdfd6aa4p-4", "0x1.d5831cdfd6aa4p-3", "0x1.d5831cdfd6aa4p-2",
      "0x1.d3bfa1101cb02p-1", "0x1.8935b1a9f7876p+0", "0x1.8935b1a9f7876p+0",
      "0x1.8935b1a9f7876p+0"],
     ["0x1.8c69d24dede07p-3", "0x1.8c69d24dede07p-2", "0x1.8b06d415e07f8p-1",
-     "0x1.3d9c746ea9201p+0", "0x1.b4cb801a4fff5p+0", "0x1.b5b17a0b9edfep+0",
+     "0x1.3d9c746eac5e5p+0", "0x1.b4cb801a4fff5p+0", "0x1.b5b17a0b9edfep+0",
      "0x1.b5b17a0b9edfep+0"],
 ]
+# that search's value when it ran until it stalled
+STALLED_ALPHA = "0x1.3d9c746ea9201p+0"
 
 
 def test_reiteration_outer_k_keeps_its_pinned_bits(monkeypatch):
+    certified = float.fromhex(REITERATION_ALPHAS[1][3])
+    stalled = float.fromhex(STALLED_ALPHA)
+    assert stalled <= certified <= stalled * (1.0 + 1e-6)
     seen = []
     real = interp._KMethodCouple.outer_k
 
@@ -541,15 +557,57 @@ def test_duality_bound_is_the_weighted_closed_form_at_q_one(f):
     np.testing.assert_allclose(lower, closed, rtol=1e-13, atol=0.0)
 
 
+def without_bound(derived):
+    """derived's two norms as a couple with no dual bound, whose searches
+    cannot stop on the bound they are to check."""
+    return KernelNorms(derived.kernels, derived.q_values, derived.du)
+
+
 def test_duality_bound_never_exceeds_a_dense_search():
     rng = np.random.default_rng(32)
     for trial in range(50):
         derived, f = random_derived(rng, 1 + trial % 4, trial % 2 == 1)
         t = float(2.0 ** rng.uniform(-4, 4))
         lower = derived.corner_bounds(np.array([t]), f)[2]
-        dense = k_brute_force(derived, t, f, resolution=1e-10,
+        dense = k_brute_force(without_bound(derived), t, f, resolution=1e-10,
                               n_random_starts=16)
         assert lower[0] <= dense * (1.0 + 1e-12)
+
+
+def test_certified_stop_lies_within_resolution():
+    # a search on the derived couple either takes the path of the same
+    # search without the bound, bit for bit, or stops earlier on a lower
+    # bound within resolution of its value
+    rng = np.random.default_rng(33)
+    stops = set()
+    for trial in range(32):
+        derived, f = random_derived(rng, 1 + trial % 4, trial // 4 % 2 == 1)
+        resolution = (1e-4, 1e-6)[trial // 8 % 2]
+        # the first of 16 t that the corners leave open, as outer_k would
+        # search it, or the first t if the corners close at all 16
+        ts = 2.0 ** rng.uniform(-4, 4, 16)
+        upper, _, lower = derived.corner_bounds(ts, f)
+        t = float(ts[np.argmax(upper - lower > resolution * upper)])
+        plain = without_bound(derived)
+        res, free = [k_brute_force(c, t, f, resolution=resolution,
+                                   n_random_starts=1, return_details=True)
+                     for c in (derived, plain)]
+        dense = k_brute_force(plain, t, f, resolution=1e-10,
+                              n_random_starts=16)
+        assert free.lower == -math.inf
+        # where the bound is tight, at a corner minimizer, it may lie an
+        # ulp above the value: the bound is exact only up to rounding
+        assert res.lower <= res.value * (1.0 + 1e-12)
+        assert res.lower <= dense * (1.0 + 1e-12)
+        if res.evaluations == free.evaluations:
+            stops.add("stall")
+            assert (res.value, res.minimizer.tolist()) == \
+                (free.value, free.minimizer.tolist())
+        else:
+            stops.add("certified")
+            assert res.evaluations < free.evaluations
+            assert res.value - res.lower <= resolution * res.value
+    assert stops == {"stall", "certified"}
 
 
 def test_certified_corners_return_the_search_values():
@@ -592,7 +650,7 @@ def test_inner_minimizers_are_searched(monkeypatch):
     upper, _, lower = derived.corner_bounds(ts, F3)
     inner = []
     for t, corner in zip(ts, upper):
-        dense = real(derived, float(t), F3, resolution=1e-10,
+        dense = real(without_bound(derived), float(t), F3, resolution=1e-10,
                      n_random_starts=16, return_details=True)
         # a minimizer off every corner, whose value the corners miss
         off = np.minimum(np.abs(dense.minimizer), np.abs(F3 - dense.minimizer))
@@ -616,6 +674,23 @@ def test_reiteration_validation():
                                     NormSpec(1.0, [3.0, 0.5]))
     with pytest.raises(ConfigError):
         reiteration_check(generic, F2, 0.25, 0.75, 0.5, Q2, **grids)
+
+
+@pytest.mark.parametrize("resolution", [math.nan, math.inf, 0.0, -1.0, 1.0])
+def test_reiteration_rejects_a_resolution_outside_zero_one(resolution,
+                                                          monkeypatch):
+    # a nan resolution skipped every search and passed the corner values
+    calls = []
+    monkeypatch.setattr(interp._KMethodCouple, "outer_k",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(interp, "k_norm_continuous",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="resolution"):
+        reiteration_check(WS3, F3, 0.25, 0.75, 0.5, Q2,
+                          inner_grid=HaarGrid(4, 4), outer_V=4,
+                          base_grid=HaarGrid(8, 8), refine=False,
+                          resolution=resolution)
+    assert calls == []
 
 
 def test_reiteration_rejects_non_finite_vectors_before_any_search(monkeypatch):
