@@ -38,9 +38,7 @@ from .rearrange import (
 )
 from .couples import (
     Couple,
-    LinearOperatorSpec,
     NormSpec,
-    apply_operator,
     decompose,
     j_functional,
     k_brute_force,
@@ -99,12 +97,10 @@ __all__ = [
     "InvalidExponentError",
     "JRepresentation",
     "KMethodParams",
-    "LinearOperatorSpec",
     "NormSpec",
     "RearrangementProfile",
     "SampledFunction",
     "VarInterpError",
-    "apply_operator",
     "class_membership_check",
     "construct_j_representation",
     "decompose",

@@ -71,8 +71,6 @@ __all__ = [
     "j_functional",
     "kj_inequality_check",
     "KJInequalityReport",
-    "LinearOperatorSpec",
-    "apply_operator",
 ]
 
 
@@ -90,7 +88,7 @@ class NormSpec:
         object.__setattr__(self, "p", float(self.p))
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", weights)
-        if self.p < 1.0:
+        if not self.p >= 1.0:
             raise ConfigError("norm exponent p must be >= 1")
         if (weights.ndim != 1 or not len(weights) or np.any(weights <= 0)
                 or not np.all(np.isfinite(weights))):
@@ -173,7 +171,8 @@ class Couple:
         return -math.inf
 
     def operator_norms(self, matrix):
-        """The exact norms of a matrix on A0 and on A1."""
+        """The exact norms (M0, M1) of a matrix on A0 and on A1; the matrix
+        must be finite and square of the couple's dimension."""
         raise ConfigError("exact operator norms are implemented for weighted_seq")
 
     def k_weights(self, ts):
@@ -231,6 +230,8 @@ class WeightedSeqCouple(_NormSpecCouple):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (self.dimension, self.dimension):
             raise ConfigError("operator dimension does not match the couple")
+        if not np.isfinite(matrix).all():
+            raise ConfigError("operator matrix must be finite")
         abs_t = np.abs(matrix)
         return (float(np.max((self.w0 @ abs_t) / self.w0)),
                 float(np.max((self.w1 @ abs_t) / self.w1)))
@@ -594,38 +595,3 @@ def kj_inequality_check(couple, f, s, t):
     worst = min(margins)
     return KJInequalityReport(k_s, k_t, j_s, j_t, worst, worst >= 0.0)
 
-
-# ---------------------------------------------------------------------------
-# Bounded linear operators on a couple
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearOperatorSpec:
-    """A matrix acting on a vector couple with norm bounds on both spaces."""
-
-    matrix: np.ndarray
-    bound0: float
-    bound1: float
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ConfigError("operator matrix must be square")
-        if not np.all(np.isfinite(matrix)):
-            raise ConfigError("operator matrix must be finite")
-        if self.bound0 < 0 or self.bound1 < 0:
-            raise ConfigError("operator bounds must be nonnegative")
-
-    @classmethod
-    def from_matrix(cls, matrix, couple):
-        """Attach the exact operator norms; see Couple.operator_norms."""
-        return cls(matrix, *couple.operator_norms(matrix))
-
-
-def apply_operator(op, f):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (op.matrix.shape[1],):
-        raise ConfigError("operator and vector dimensions do not match")
-    return op.matrix @ f

@@ -100,7 +100,7 @@ def hardy_continuous_check(s, q, epsilon):
     kernel is evaluated at the cell midpoint, where the running integral
     covers half the cell). Exact scaling in epsilon by construction.
     """
-    if s <= 0:
+    if not s > 0:
         raise ConfigError("s must be positive")
     grid = epsilon.grid
     tau = grid.nodes
@@ -166,7 +166,7 @@ def key_estimate_check(p, interval, w, f, m, variant):
     a, b = float(interval[0]), float(interval[1])
     if not 0.0 < a < b < math.inf:
         raise ConfigError("Q must be an interval (a, b) with 0 < a < b < inf")
-    if m <= 0:
+    if not m > 0:
         raise ConfigError("m must be positive")
     grid = f.grid
     nodes = grid.nodes

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .varleb import _two_block_norm, weighted_power_norm
+from .varleb import _dyadic_indices, _two_block_norm, weighted_power_norm
 
 __all__ = [
     "AtomFunction",
@@ -223,10 +223,8 @@ def lorentz_discrete_norm(f, p, q, V):
     weights 2^{v q(0)/p(0)}; the upper block (v >= 1) uses p_inf, q_inf with
     weights 2^{v q_inf/p_inf}. Blocks combine additively after taking roots.
     """
-    if V < 1:
-        raise ConfigError("V must be >= 1")
+    v = _dyadic_indices(V)
     profile = rearrangement(f)
-    v = np.arange(-V, V + 1)
     fstar = profile.value_at(2.0 ** v.astype(float))
     q0, p0 = q.p_at_zero, p.p_at_zero
     qi, pi = q.p_at_infinity, p.p_at_infinity

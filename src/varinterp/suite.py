@@ -27,7 +27,6 @@ import numpy as np
 
 from .couples import (
     Couple,
-    LinearOperatorSpec,
     k_brute_force,
     k_functional,
     k_truncation_oracle,
@@ -269,14 +268,14 @@ def _stable(constant, drift, drift_limit):
     return math.isfinite(constant) and (drift is None or drift <= drift_limit)
 
 
-def _worst_max(start=0.0, limit=math.inf, drift_limit=None, lower=False):
-    """Largest (lower: smallest) metric, from `start` on, and the first
+def _worst_max(limit=math.inf, drift_limit=None, lower=False):
+    """Largest (lower: smallest) metric, from 0 (lower: inf) on, and the first
     instance reaching it (a NaN metric is skipped); it must stay <= limit
     (lower: >= limit). With refined metrics the drift is the largest
     relative change under refinement; a drift limit also asks for a finite
     constant."""
     def reduce(pairs):
-        worst, worst_i, drift = start, 0, None
+        worst, worst_i, drift = (math.inf if lower else 0.0), 0, None
         for i, o in pairs:
             if (o.metric < worst) if lower else (o.metric > worst):
                 worst, worst_i = o.metric, i
@@ -294,7 +293,7 @@ def _worst_max(start=0.0, limit=math.inf, drift_limit=None, lower=False):
 def _worst_min(limit):
     """Smallest metric (at most inf) and the first instance reaching it;
     it must stay >= limit."""
-    return _worst_max(math.inf, limit, lower=True)
+    return _worst_max(limit, lower=True)
 
 
 def _fraction(pairs):
@@ -439,11 +438,11 @@ def _density(rng, i, config):
 def _operator(rng, i, config):
     couple = _rand_weighted_couple(rng)
     n = couple.dimension
-    op = LinearOperatorSpec.from_matrix(rng.normal(0.0, 1.0, (n, n)), couple)
+    matrix = rng.normal(0.0, 1.0, (n, n))
     f = _rand_vector(rng, n)
     theta = float(rng.uniform(0.2, 0.8))
     q = _rand_exponent(rng, i)
-    rep = operator_bound_check(op, couple, theta, q, f, config.grid)
+    rep = operator_bound_check(matrix, couple, theta, q, f, config.grid)
     return _Outcome(rep.lhs / rep.rhs if rep.rhs > 0 else 0.0, rep.passed)
 
 
@@ -676,7 +675,7 @@ _CHECKS = (
     _Check("prop-reversal", _prop_reversal, _worst_max()),
     # largest spread max(r, 1/r) of continuous norms for exponents with
     # equal limits (at least 1)
-    _Check("prop-equal-limits", _prop_equal_limits, _worst_max(start=1.0)),
+    _Check("prop-equal-limits", _prop_equal_limits, _worst_max()),
     # largest theta-monotonicity constant on ordered couples
     _Check("prop-theta-monotone", _prop_theta_monotone, _worst_max()),
     # largest norm ratio on identical couples; it must be f-independent

@@ -64,6 +64,14 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _dyadic_indices(V, name="V"):
+    """The indices v = -V..V of a dyadic range t = 2^v, for an integer
+    V >= 1; ConfigError otherwise, naming V as name."""
+    if not (_is_integer(V) and V >= 1):
+        raise ConfigError(f"{name} must be an integer >= 1, got {V!r}")
+    return np.arange(-V, V + 1)
+
+
 @dataclass(frozen=True)
 class HaarGrid:
     """Log-uniform midpoint grid on [2^-V, 2^V].

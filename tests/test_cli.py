@@ -200,6 +200,10 @@ def test_kfunc_command_decodes_each_couple_kind(text, couple, element, capsys):
     ["kfunc", "--couple", '{"kind": "finite_generic", "norm0": {"p": 2, '
      '"weights": [1]}, "norm1": {"p": "inf", "weights": ["2"]}}',
      "--function", "[1]", "--t", "1"],
+    # json reads NaN as a float, which is no norm exponent
+    ["kfunc", "--couple", '{"kind": "finite_generic", "norm0": {"p": NaN, '
+     '"weights": [1, 2]}, "norm1": {"p": 2, "weights": [1, 1]}}',
+     "--function", "[1, 2]", "--t", "1"],
 ])
 def test_malformed_json_exits_two(args, capsys):
     assert main(args) == 2

@@ -18,9 +18,8 @@ from varinterp import (
     DomainError,
     ExponentFunction,
     HaarGrid,
-    LinearOperatorSpec,
+    KMethodParams,
     NormSpec,
-    apply_operator,
     decompose,
     j_functional,
     k_brute_force,
@@ -28,9 +27,10 @@ from varinterp import (
     k_functional_many,
     k_truncation_oracle,
     kj_inequality_check,
+    k_norm_continuous,
     operator_bound_check,
 )
-from varinterp import couples
+from varinterp import couples, interp
 from varinterp.couples import _bracket_scan
 from varinterp.interp import _KMethodCouple
 from varinterp.rearrange import rearrangement
@@ -228,6 +228,12 @@ def test_finite_generic_norm_specs():
     kv = k_functional(c, 1.5, f)
     assert kv <= c.norm0(f) + 1e-12
     assert kv <= 1.5 * c.norm1(f) + 1e-12
+
+
+@pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+def test_norm_spec_rejects_an_exponent_below_one_or_nan(p):
+    with pytest.raises(ConfigError, match="^norm exponent p must be >= 1$"):
+        NormSpec(p, [1.0, 2.0])
 
 
 def test_finite_generic_takes_two_norm_specs_of_one_dimension():
@@ -671,24 +677,52 @@ def test_brute_force_k_runs_without_scipy():
 def test_operator_exact_bounds_and_application():
     c = Couple.weighted_seq([1.0, 1.0], [1.0, 4.0])
     M = np.array([[0.5, 0.2], [-0.1, 0.8]])
-    op = LinearOperatorSpec.from_matrix(M, c)
-    # norm of a matrix on l1(w) is the largest weighted column sum
-    assert op.bound0 == pytest.approx(1.0)
-    assert op.bound1 == pytest.approx(0.9)
+    # the norm of a matrix on l1(w) is the largest weighted column sum
+    assert c.operator_norms(M) == pytest.approx((1.0, 0.9))
     f = np.array([1.0, 1.0])
-    assert np.allclose(apply_operator(op, f), M @ f)
-    with pytest.raises(ConfigError):
-        apply_operator(op, np.ones(3))
+    grid = HaarGrid(12, 16)
+    q = ExponentFunction.constant(2.0)
+    rep = operator_bound_check(M.tolist(), c, 0.5, q, f.tolist(), grid)
+    assert (rep.bound0, rep.bound1) == c.operator_norms(M)
+    params = KMethodParams(0.5, q, grid)
+    assert rep.lhs == k_norm_continuous(c, M @ f, params)
+    assert rep.base_norm == k_norm_continuous(c, f, params)
+    assert rep.rhs == 1.0 * rep.base_norm
+    assert rep.passed
 
 
 def test_operator_bound_check_identity():
     c = Couple.weighted_seq([1.0, 1.0], [1.0, 4.0])
-    op = LinearOperatorSpec.from_matrix(np.eye(2), c)
     grid = HaarGrid(16, 32)
     q = ExponentFunction.constant(2.0)
-    rep = operator_bound_check(op, c, 0.5, q, np.array([1.0, 1.0]), grid)
+    rep = operator_bound_check(np.eye(2), c, 0.5, q, np.array([1.0, 1.0]), grid)
     assert rep.passed
     assert rep.lhs == rep.rhs
+
+
+@pytest.mark.parametrize("couple, matrix, f, match", [
+    (Couple.weighted_seq([1.0, 1.0], [1.0, 4.0]), np.eye(3), [1.0, 1.0],
+     "^operator dimension does not match the couple$"),
+    (Couple.weighted_seq([1.0, 1.0], [1.0, 4.0]), np.ones((2, 3)), [1.0, 1.0],
+     "^operator dimension does not match the couple$"),
+    (Couple.weighted_seq([1.0, 1.0], [1.0, 4.0]), [[1.0, math.nan], [0.0, 1.0]],
+     [1.0, 1.0], "^operator matrix must be finite$"),
+    (Couple.weighted_seq([1.0, 1.0], [1.0, 4.0]), [[1.0, 0.0], [-math.inf, 1.0]],
+     [1.0, 1.0], "^operator matrix must be finite$"),
+    (Couple.weighted_seq([1.0, 1.0], [1.0, 4.0]), np.eye(2), [1.0, 1.0, 1.0],
+     "couple's dimension 2$"),
+    (Couple.finite_generic(NormSpec(2.0, [1.0, 1.0]), NormSpec(1.0, [1.0, 4.0])),
+     np.eye(2), [1.0, 1.0], "^exact operator norms are implemented for weighted_seq$"),
+])
+def test_operator_bound_check_rejects_before_any_norm(couple, matrix, f, match,
+                                                      monkeypatch):
+    calls = []
+    monkeypatch.setattr(interp, "k_norm_continuous",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match=match):
+        operator_bound_check(matrix, couple, 0.5, ExponentFunction.constant(2.0),
+                             f, HaarGrid(4, 4))
+    assert calls == []
 
 
 def test_reverse_swaps_norms():

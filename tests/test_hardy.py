@@ -187,6 +187,22 @@ def test_key_estimate_rejects_oversized_function():
     assert not rep.passed
 
 
+def test_hardy_continuous_rejects_a_nan_s():
+    # a nan s fails s > 0: a configuration error, not a divergence
+    grid = HaarGrid(6, 8)
+    eps = SampledFunction(grid, np.ones(grid.node_count))
+    with pytest.raises(ConfigError, match="^s must be positive$"):
+        hardy_continuous_check(math.nan, Q2, eps)
+
+
+def test_key_estimate_rejects_a_nan_m():
+    # a nan m fails m > 0, so no report carries a nan gamma
+    grid = HaarGrid(6, 8)
+    w, f = _key_setup(grid, (0.5, 2.0), lambda n: np.full(n, 0.5))
+    with pytest.raises(ConfigError, match="^m must be positive$"):
+        key_estimate_check(Q2, (0.5, 2.0), w, f, math.nan, "local")
+
+
 def test_key_estimate_unknown_variant():
     grid = HaarGrid(6, 8)
     p = ExponentFunction.constant(2.0)

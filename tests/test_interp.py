@@ -25,6 +25,7 @@ from varinterp import (
     k_norm_sup,
     kj_equivalence_check,
     lambda_norm,
+    lorentz_discrete_norm,
     lorentz_identification_check,
     reiteration_check,
 )
@@ -727,6 +728,39 @@ def test_reiteration_rejects_outer_v_below_one_before_any_search(monkeypatch):
         reiteration_check(c, F2, 0.25, 0.75, 0.5, Q2,
                           inner_grid=HaarGrid(4, 4), outer_V=0)
     assert calls == []
+
+
+# every entry point over a dyadic range t = 2^v, v = -V..V, by V
+DYADIC_ENTRY_POINTS = {
+    "k_norm_discrete": lambda V: k_norm_discrete(WS, F2, 0.5, 2.0, 2.0, V),
+    "construct_j_representation":
+        lambda V: construct_j_representation(WS, F2, V).worst_ratio,
+    "density_check":
+        lambda V: density_check(WS, F2, params(grid=HaarGrid(V, 4))).final_ratio,
+    "reiteration_check": lambda V: reiteration_check(
+        WS3, F3, 0.25, 0.75, 0.5, Q2, inner_grid=HaarGrid(4, 4), outer_V=V,
+        base_grid=HaarGrid(8, 8), refine=False).outer_norm,
+    "lorentz_discrete_norm": lambda V: lorentz_discrete_norm(CHI, Q2, Q2, V),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DYADIC_ENTRY_POINTS))
+@pytest.mark.parametrize("V", [0, 2.5, True, math.nan, "3"])
+def test_dyadic_range_needs_an_integer_v_before_any_work(entry, V, monkeypatch):
+    # a float V would give a range over half-integer points, True V = 1
+    calls = []
+    monkeypatch.setattr(interp._KMethodCouple, "outer_k",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(interp, "k_functional_many",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="V"):
+        DYADIC_ENTRY_POINTS[entry](V)
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry", sorted(DYADIC_ENTRY_POINTS))
+def test_dyadic_range_takes_a_numpy_integer(entry):
+    assert DYADIC_ENTRY_POINTS[entry](np.int64(3)) == DYADIC_ENTRY_POINTS[entry](3)
 
 
 def test_derived_couple_has_one_search_path():
